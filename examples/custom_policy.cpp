@@ -35,7 +35,7 @@ class LeastMissesMode : public core::AllocationMode {
 
   void Observe(const perf::WindowStats& window) override {
     for (size_t n = 0; n < misses_.size(); ++n) {
-      misses_[n] = window.l3_misses[n];
+      misses_[n] = window.l3_misses(static_cast<int>(n));
     }
   }
 

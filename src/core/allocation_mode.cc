@@ -73,7 +73,7 @@ AdaptivePriorityMode::AdaptivePriorityMode(const numasim::Topology* topology,
     : topology_(topology), queue_(topology->num_nodes(), decay) {}
 
 void AdaptivePriorityMode::Observe(const perf::WindowStats& window) {
-  queue_.Update(window.node_access_pages);
+  queue_.Update(window.NodeAccessPages());
 }
 
 numasim::CoreId AdaptivePriorityMode::NextToAllocate(const platform::CpuMask& current) {

@@ -746,6 +746,23 @@ void CoreArbiter::Poll(simcore::Tick now) {
   // Phase 3: unmet grows may preempt one core from the tenant furthest
   // above its entitlement — never from an overloaded tenant and never below
   // the victim's initial_cores floor.
+  //
+  // The grower-independent victim filters (active, not frozen, above the
+  // floor) are applied once, not per unmet grower: `candidates` holds every
+  // tenant passing them, in index order so that ties break towards the
+  // lowest index, and stays exact as preemptions move cores below.
+  auto preemptible = [&](int v) {
+    const Tenant& tenant = tenants_[static_cast<size_t>(v)];
+    return tenant.active && !Frozen(tenant) &&
+           tenant.mask.Count() >
+               std::max(1, tenant.config.mechanism.initial_cores);
+  };
+  std::vector<int> candidates;
+  if (!unmet.empty()) {
+    for (int v = 0; v < count; ++v) {
+      if (preemptible(v)) candidates.push_back(v);
+    }
+  }
   for (int grower : unmet) {
     // Under kSloAware an SLO tenant at or past the boost threshold may take
     // a core from a best-effort tenant even when that tenant is overloaded:
@@ -757,10 +774,9 @@ void CoreArbiter::Poll(simcore::Tick now) {
         slo_ratios[static_cast<size_t>(grower)] > kSloBoostRatio;
     int victim = -1;
     double worst_excess = 0.0;
-    for (int v = 0; v < count; ++v) {
+    for (const int v : candidates) {
       if (v == grower) continue;
       const Tenant& candidate = tenants_[static_cast<size_t>(v)];
-      if (!candidate.active || Frozen(candidate)) continue;
       const bool victim_best_effort =
           config_.policy == ArbitrationPolicy::kSloAware &&
           candidate.config.slo_p99_s < 0.0;
@@ -782,9 +798,8 @@ void CoreArbiter::Poll(simcore::Tick now) {
           !victim_collapsing) {
         continue;
       }
-      const int held = candidate.mask.Count();
-      if (held <= std::max(1, candidate.config.mechanism.initial_cores)) continue;
-      double excess = held - entitlements[static_cast<size_t>(v)];
+      double excess =
+          candidate.mask.Count() - entitlements[static_cast<size_t>(v)];
       // Cross-island migration penalty: preempting a core on a node that
       // holds none of the grower's pages must clear numa_affinity_weight
       // extra excess — moving onto a remote island trades arbitration
@@ -824,19 +839,14 @@ void CoreArbiter::Poll(simcore::Tick now) {
         slo_ratios[static_cast<size_t>(grower)] > 1.0) {
       const double grower_ratio = slo_ratios[static_cast<size_t>(grower)];
       double best_victim_ratio = 0.0;
-      for (int v = 0; v < count; ++v) {
+      for (const int v : candidates) {
         if (v == grower) continue;
         const Tenant& candidate = tenants_[static_cast<size_t>(v)];
-        if (!candidate.active || Frozen(candidate)) continue;
         if (candidate.config.slo_p99_s < 0.0) continue;  // best-effort: pass 1
         if (shed_rates[static_cast<size_t>(v)] > 0.0) continue;
         const double victim_ratio = slo_ratios[static_cast<size_t>(v)];
         if (victim_ratio < 0.0) continue;  // no signal: hold untouched
         if (grower_ratio <= victim_ratio * kSloTieBreakMargin) continue;
-        if (candidate.mask.Count() <=
-            std::max(1, candidate.config.mechanism.initial_cores)) {
-          continue;
-        }
         if (victim < 0 || victim_ratio < best_victim_ratio) {
           victim = v;
           best_victim_ratio = victim_ratio;
@@ -854,6 +864,19 @@ void CoreArbiter::Poll(simcore::Tick now) {
     tenants_[static_cast<size_t>(grower)].mask.Set(core);
     round.handoffs++;
     round.preemptions++;
+    // A victim at its floor leaves the candidates; a grower now above its
+    // floor joins them (and may be preempted by a later unmet grower).
+    if (!preemptible(victim)) {
+      candidates.erase(
+          std::lower_bound(candidates.begin(), candidates.end(), victim));
+    }
+    if (preemptible(grower)) {
+      const auto slot =
+          std::lower_bound(candidates.begin(), candidates.end(), grower);
+      if (slot == candidates.end() || *slot != grower) {
+        candidates.insert(slot, grower);
+      }
+    }
   }
 
   // Phase 4: install the rebalanced cpusets and commit the grants into the

@@ -205,7 +205,6 @@ ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
     decision.u = last_u_;
     decision.current = allocated_.Count();
     decision.desired = decision.current;
-    decision.label = "stale-hold";
     decision.valid = false;
     return decision;
   }
@@ -233,13 +232,20 @@ ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
   decision.u = u;
   decision.current = allocated_.Count();
   decision.desired = static_cast<int>(net_.Marking(p_provision_).front());
-  decision.label = net_.TransitionName(*classify) + "-" + PerfStateName(state) +
-                   "-" + net_.TransitionName(*action);
+  decision.classify = *classify;
+  decision.action = *action;
 
   // The measurement token returned to Checks is stale; drop it. The next
   // round installs a fresh measurement.
   net_.ClearPlace(p_checks_);
   return decision;
+}
+
+std::string ElasticMechanism::Label(const Decision& decision) const {
+  if (!decision.valid) return "stale-hold";
+  return net_.TransitionName(decision.classify) + "-" +
+         PerfStateName(decision.state) + "-" +
+         net_.TransitionName(decision.action);
 }
 
 void ElasticMechanism::CommitGrant(const platform::CpuMask& mask,
@@ -253,7 +259,7 @@ void ElasticMechanism::CommitGrant(const platform::CpuMask& mask,
   if (config_.log_transitions) {
     StateTransitionEvent event;
     event.tick = now;
-    event.label = decision.label;
+    event.label = Label(decision);
     event.state = decision.state;
     event.u = decision.u;
     event.nalloc = allocated_.Count();

@@ -113,9 +113,11 @@ class ElasticMechanism {
     double u = 0.0;
     int current = 0;
     int desired = 0;
-    /// Fired rule-condition-action labels, e.g. "t1-Overload-t5"; a round
-    /// with implausible telemetry is labelled "stale-hold" instead.
-    std::string label;
+    /// The classification and action transitions the net fired (-1 on an
+    /// invalid round). CommitGrant turns them into the logged label, e.g.
+    /// "t1-Overload-t5", only when transitions are logged.
+    petri::TransitionId classify = -1;
+    petri::TransitionId action = -1;
     /// Whether the window behind this decision was plausible telemetry. An
     /// invalid round never fires the net: state/u repeat the last good
     /// measurement, desired == current (hold), and the arbiter's
@@ -152,6 +154,9 @@ class ElasticMechanism {
  private:
   void BuildNet();
   double Measure(const perf::WindowStats& window) const;
+  /// Rule-condition-action label of a decision, e.g. "t1-Overload-t5"; a
+  /// round with implausible telemetry is labelled "stale-hold" instead.
+  std::string Label(const Decision& decision) const;
   /// Sanity gate on one monitoring window: zero-width windows (a probe
   /// dropout) and out-of-range measurements (garbage counters, NaN) are
   /// rejected before they reach the net or the mode's observation state.

@@ -1,6 +1,6 @@
 #include "numasim/topology.h"
 
-#include <queue>
+#include <algorithm>
 
 #include "simcore/check.h"
 
@@ -71,49 +71,56 @@ void Topology::BuildLinks() {
   }
 }
 
-int Topology::LinkIndex(NodeId src, NodeId dst) const {
-  for (int i = 0; i < static_cast<int>(links_.size()); ++i) {
-    if (links_[i].src == src && links_[i].dst == dst) return i;
-  }
-  ELASTIC_CHECK(false, "no direct link between nodes");
-  return -1;
-}
-
 void Topology::BuildRoutes() {
   const int n = num_nodes();
+  // Direct-link index by (src, dst), and each node's neighbours in
+  // ascending id order: O(1) per hop and O(degree) per BFS step instead of
+  // scans over all links and all nodes.
+  std::vector<int> link_of(static_cast<size_t>(n) * static_cast<size_t>(n), -1);
+  std::vector<std::vector<int>> neighbours(static_cast<size_t>(n));
+  for (int i = 0; i < num_links(); ++i) {
+    const Link& link = links_[static_cast<size_t>(i)];
+    link_of[static_cast<size_t>(link.src) * n + link.dst] = i;
+    neighbours[static_cast<size_t>(link.src)].push_back(link.dst);
+  }
   hops_.assign(n, std::vector<int>(n, 0));
   routes_.assign(n * n, {});
+  std::vector<int> parent(static_cast<size_t>(n));
+  std::vector<int> dist(static_cast<size_t>(n));
+  std::vector<int> queue;
+  queue.reserve(static_cast<size_t>(n));
   for (int from = 0; from < n; ++from) {
     // Breadth-first search gives shortest paths; ties are broken towards the
     // lowest-numbered neighbour, which makes routing deterministic.
-    std::vector<int> parent(n, -1);
-    std::vector<int> dist(n, -1);
-    std::queue<int> queue;
-    queue.push(from);
-    dist[from] = 0;
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop();
-      for (int next = 0; next < n; ++next) {
-        if (adjacency_[cur][next] && dist[next] < 0) {
-          dist[next] = dist[cur] + 1;
-          parent[next] = cur;
-          queue.push(next);
+    std::fill(parent.begin(), parent.end(), -1);
+    std::fill(dist.begin(), dist.end(), -1);
+    queue.assign(1, from);
+    dist[static_cast<size_t>(from)] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int cur = queue[head];
+      for (const int next : neighbours[static_cast<size_t>(cur)]) {
+        if (dist[static_cast<size_t>(next)] < 0) {
+          dist[static_cast<size_t>(next)] = dist[static_cast<size_t>(cur)] + 1;
+          parent[static_cast<size_t>(next)] = cur;
+          queue.push_back(next);
         }
       }
     }
     for (int to = 0; to < n; ++to) {
-      ELASTIC_CHECK(dist[to] >= 0, "link graph must be connected");
-      hops_[from][to] = dist[to];
+      ELASTIC_CHECK(dist[static_cast<size_t>(to)] >= 0,
+                    "link graph must be connected");
+      hops_[from][to] = dist[static_cast<size_t>(to)];
       if (to == from) continue;
-      // Reconstruct the path and record directed links from `to`'s home
-      // towards the requester (data flows dst -> src of the request).
-      std::vector<int> path_nodes;
-      for (int cur = to; cur != -1; cur = parent[cur]) path_nodes.push_back(cur);
-      // path_nodes = to ... from
+      // Walk the path from `to`'s home back to the requester and record the
+      // directed links it traverses (data flows dst -> src of the request).
       std::vector<int>& route = routes_[from * n + to];
-      for (size_t k = 0; k + 1 < path_nodes.size(); ++k) {
-        route.push_back(LinkIndex(path_nodes[k], path_nodes[k + 1]));
+      route.reserve(static_cast<size_t>(dist[static_cast<size_t>(to)]));
+      for (int cur = to; parent[static_cast<size_t>(cur)] != -1;
+           cur = parent[static_cast<size_t>(cur)]) {
+        const int link =
+            link_of[static_cast<size_t>(cur) * n + parent[static_cast<size_t>(cur)]];
+        ELASTIC_CHECK(link >= 0, "no direct link between nodes");
+        route.push_back(link);
       }
     }
   }

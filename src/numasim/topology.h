@@ -96,7 +96,6 @@ class Topology {
  private:
   void BuildLinks();
   void BuildRoutes();
-  int LinkIndex(NodeId src, NodeId dst) const;
 
   MachineConfig config_;
   std::vector<Link> links_;

@@ -1,9 +1,13 @@
 #ifndef ELASTICORE_OLTP_CC_TABLE_H_
 #define ELASTICORE_OLTP_CC_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <type_traits>
 
 namespace elastic::oltp::cc {
 
@@ -61,7 +65,7 @@ class Table {
         num_partitions_(num_partitions > 0 ? num_partitions : 1),
         keys_per_partition_(
             (num_records + num_partitions_ - 1) / num_partitions_),
-        records_(new Record[static_cast<size_t>(num_records)]),
+        records_(AllocateRecords(num_records)),
         partition_locks_(new std::atomic<uint64_t>[static_cast<size_t>(
             num_partitions_)]) {
     for (int p = 0; p < num_partitions_; ++p) partition_locks_[p] = 0;
@@ -99,10 +103,37 @@ class Table {
   }
 
  private:
+  static_assert(std::is_trivially_destructible_v<Record>,
+                "Free releases records without running destructors");
+  /// Frees a record array made by AllocateRecords.
+  struct Free {
+    void* block = nullptr;
+    void operator()(Record*) const { std::free(block); }
+  };
+  using Records = std::unique_ptr<Record[], Free>;
+
+  /// Tables of tens of MB are built and dropped one after another (one
+  /// engine per experiment set-up). Over-aligned operator new[] goes through
+  /// glibc's memalign, whose freed blocks the next identical request does
+  /// not reliably reuse, so resident memory would depend on heap layout
+  /// rather than on live data. A plain malloc block of one size, aligned by
+  /// hand, is reused as is.
+  static Records AllocateRecords(int64_t num_records) {
+    const size_t count = static_cast<size_t>(std::max<int64_t>(num_records, 1));
+    void* block = std::malloc(count * sizeof(Record) + alignof(Record) - 1);
+    if (block == nullptr) throw std::bad_alloc();
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(block) + alignof(Record) - 1) &
+        ~std::uintptr_t{alignof(Record) - 1};
+    Record* records = reinterpret_cast<Record*>(aligned);
+    for (size_t k = 0; k < count; ++k) new (&records[k]) Record();
+    return Records(records, Free{block});
+  }
+
   int64_t num_records_;
   int num_partitions_;
   int64_t keys_per_partition_;
-  std::unique_ptr<Record[]> records_;
+  Records records_;
   std::unique_ptr<std::atomic<uint64_t>[]> partition_locks_;
 };
 

@@ -20,6 +20,19 @@ inline constexpr int kNoStream = kMaxStreams - 1;
 /// /proc for minor faults). Subsystems update it directly; the elastic
 /// mechanism and the figure harnesses read windowed deltas through
 /// perf::Sampler.
+///
+/// Write-before-advance invariant: the per-node, per-link and per-core
+/// vectors are written only while a tick executes, and never between two
+/// reads at one clock value. Machine::Step runs its hooks (the readers) at
+/// tick t, then Scheduler::Tick writes (through MemorySystem::Access), then
+/// the clock advances; SyntheticPlatform::AdvanceTicks advances, writes,
+/// then runs its hooks. This is what lets every sampler of a platform share
+/// one perf::SnapshotSource copy per tick: code that writes these vectors
+/// must keep the invariant (tests that poke counters advance the clock
+/// before the next read). The scalar counters carry
+/// no such guarantee — hooks bump tasks_spawned (AssignJob) and
+/// thread_migrations (SetCpusetMask) at any point of a tick — so samplers
+/// read them live.
 struct CounterSet {
   CounterSet(int num_nodes, int num_links, int num_cores)
       : l3_hits(num_nodes, 0),

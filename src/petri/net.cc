@@ -77,48 +77,47 @@ int64_t Net::TotalTokens() const {
   return total;
 }
 
-std::optional<Binding> Net::TryBind(const Transition& t) const {
-  Binding binding;
+bool Net::TryBind(const Transition& t, Binding* binding) const {
+  binding->Clear();
   for (const InputArc& arc : t.inputs) {
     const Place& place = places_[arc.place];
-    if (place.tokens.empty()) return std::nullopt;
-    binding.Bind(arc.var, place.tokens.front());
+    if (place.tokens.empty()) return false;
+    binding->Bind(arc.var, place.tokens.front());
   }
-  return binding;
+  return !t.guard || t.guard(*binding);
+}
+
+void Net::FireWith(Transition& t, const Binding& binding) {
+  for (const InputArc& arc : t.inputs) {
+    places_[arc.place].tokens.pop_front();
+  }
+  for (const OutputArc& arc : t.outputs) {
+    places_[arc.place].tokens.push_back(arc.expr(binding));
+  }
 }
 
 bool Net::IsEnabled(TransitionId transition) const {
   ELASTIC_CHECK(transition >= 0 && transition < num_transitions(), "bad transition id");
-  const Transition& t = transitions_[transition];
-  const std::optional<Binding> binding = TryBind(t);
-  if (!binding.has_value()) return false;
-  if (t.guard && !t.guard(*binding)) return false;
-  return true;
+  Binding binding;
+  return TryBind(transitions_[transition], &binding);
 }
 
 bool Net::Fire(TransitionId transition) {
   ELASTIC_CHECK(transition >= 0 && transition < num_transitions(), "bad transition id");
   Transition& t = transitions_[transition];
-  const std::optional<Binding> binding = TryBind(t);
-  if (!binding.has_value()) return false;
-  if (t.guard && !t.guard(*binding)) return false;
-  // Consume one token per input arc.
-  for (const InputArc& arc : t.inputs) {
-    places_[arc.place].tokens.pop_front();
-  }
-  // Produce output tokens from the binding captured before consumption.
-  for (const OutputArc& arc : t.outputs) {
-    places_[arc.place].tokens.push_back(arc.expr(*binding));
-  }
+  if (!TryBind(t, &scratch_)) return false;
+  FireWith(t, scratch_);
   return true;
 }
 
 std::optional<TransitionId> Net::StepOnce() {
+  // Binds each candidate once: the binding that enabled the transition is
+  // the one it fires with.
   for (TransitionId t = 0; t < num_transitions(); ++t) {
-    if (IsEnabled(t)) {
-      Fire(t);
-      return t;
-    }
+    Transition& transition = transitions_[t];
+    if (!TryBind(transition, &scratch_)) continue;
+    FireWith(transition, scratch_);
+    return t;
   }
   return std::nullopt;
 }

@@ -17,6 +17,8 @@ using TransitionId = int;
 class Binding {
  public:
   void Bind(const std::string& name, double value);
+  /// Unbinds every variable, keeping the storage for the next binding.
+  void Clear() { vars_.clear(); }
   /// Value of a bound variable; aborts when the name is unknown.
   double Get(const std::string& name) const;
   bool Has(const std::string& name) const;
@@ -127,12 +129,19 @@ class Net {
     std::vector<OutputArc> outputs;
   };
 
-  /// Binds the front tokens of the input places; returns nullopt when some
-  /// input place is empty.
-  std::optional<Binding> TryBind(const Transition& t) const;
+  /// Binds the front tokens of the input places into `binding` (cleared
+  /// first); false when some input place is empty or the guard rejects the
+  /// binding.
+  bool TryBind(const Transition& t, Binding* binding) const;
+  /// Consumes one token per input arc and produces the output tokens from
+  /// `binding` (captured before consumption).
+  void FireWith(Transition& t, const Binding& binding);
 
   std::vector<Place> places_;
   std::vector<Transition> transitions_;
+  /// Reused by Fire/StepOnce, so a monitoring round binds without
+  /// allocating.
+  Binding scratch_;
 };
 
 }  // namespace elastic::petri

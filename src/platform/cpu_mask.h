@@ -121,6 +121,17 @@ class CpuMask {
   /// Cores in ascending id order.
   std::vector<numasim::CoreId> ToCores() const;
 
+  /// Calls f(core) for every core in ascending id order, without
+  /// materializing ToCores().
+  template <typename F>
+  void ForEach(F&& f) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        f(static_cast<numasim::CoreId>(w * 64 + __builtin_ctzll(word)));
+      }
+    }
+  }
+
   /// Lowest core id in the mask (kInvalidCore when empty).
   numasim::CoreId First() const;
 

@@ -22,7 +22,9 @@ const char* FaultKindName(FaultKind kind) {
 /// touching the inner sampler (its baseline then spans the gap, so the next
 /// good sample covers the whole blind period — exactly what a hung probe
 /// does to a delta-based reader); garbage samples the inner source and then
-/// scrambles the busy counters to values no real window could produce.
+/// scrambles the busy counters to values no real window could produce. The
+/// scrambled values live in a private copy: the inner window's snapshots
+/// are shared with every other sampler of the platform.
 class FaultInjectionPlatform::FaultySampler : public perf::UtilizationSampler {
  public:
   FaultySampler(FaultInjectionPlatform* owner, int index,
@@ -33,13 +35,9 @@ class FaultInjectionPlatform::FaultySampler : public perf::UtilizationSampler {
     const simcore::Tick now = owner_->Now();
     if (owner_->Fire(FaultKind::kSampleDropout, index_, now)) {
       owner_->Log(FaultKind::kSampleDropout, index_, now, "empty window");
-      perf::WindowStats stats;
-      const int nodes = owner_->topology().num_nodes();
-      stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-      stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-      stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-      stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-      return stats;  // ticks == 0: a window that never happened
+      // ticks == 0: a window that never happened, with zero per-node values
+      // and no per-core ones.
+      return perf::WindowStats(nullptr, owner_->DropoutSnapshot());
     }
     perf::WindowStats stats = inner_->Sample();
     if (owner_->Fire(FaultKind::kSampleGarbage, index_, now)) {
@@ -47,9 +45,11 @@ class FaultInjectionPlatform::FaultySampler : public perf::UtilizationSampler {
       // Far beyond any real per-window budget: ~2^40 busy cycles per core
       // reads as >> 100% load and a wildly implausible HT/IMC ratio.
       constexpr int64_t kAbsurd = int64_t{1} << 40;
-      for (int64_t& busy : stats.core_busy_cycles) busy = kAbsurd;
+      perf::CounterSnapshot scrambled = stats.Deltas();
+      for (int64_t& busy : scrambled.core_busy_cycles) busy = kAbsurd;
       stats.ht_bytes = kAbsurd;
-      for (int64_t& bytes : stats.imc_bytes) bytes = 1;
+      for (int64_t& bytes : scrambled.imc_bytes) bytes = 1;
+      stats.SetDeltas(std::move(scrambled));
     }
     return stats;
   }
@@ -122,6 +122,14 @@ bool FaultInjectionPlatform::SetCpusetMask(CpusetId cpuset,
     return false;
   }
   return inner_->SetCpusetMask(cpuset, mask);
+}
+
+perf::SnapshotPtr FaultInjectionPlatform::DropoutSnapshot() {
+  if (dropout_snapshot_ == nullptr) {
+    dropout_snapshot_ = std::make_shared<const perf::CounterSnapshot>(
+        inner_->topology().num_nodes(), 0);
+  }
+  return dropout_snapshot_;
 }
 
 std::unique_ptr<perf::UtilizationSampler>

@@ -120,6 +120,9 @@ class FaultInjectionPlatform : public Platform {
   void Log(FaultKind kind, int target, simcore::Tick now,
            const std::string& detail);
   void DeliverTick(HookState* state, simcore::Tick inner_now);
+  /// Zero per-node values and no per-core ones: the end of every dropout
+  /// window, created on first use and shared by all of them.
+  perf::SnapshotPtr DropoutSnapshot();
 
   Platform* inner_;
   FaultSchedule schedule_;
@@ -133,6 +136,7 @@ class FaultInjectionPlatform : public Platform {
   std::list<HookState> hook_states_;
   std::vector<std::string> injection_log_;
   int64_t injected_[5] = {0, 0, 0, 0, 0};
+  perf::SnapshotPtr dropout_snapshot_;
 };
 
 }  // namespace elastic::platform

@@ -95,113 +95,64 @@ numasim::MachineConfig DiscoverTopology(const LinuxPlatformOptions& options) {
   return config;
 }
 
-/// Deterministic zero-utilization source for dry runs: window lengths come
-/// from the platform clock, every counter delta is zero.
+/// Deterministic zero-utilization source for dry runs: every window is one
+/// tick long with all counter deltas zero.
 class ZeroSampler : public perf::UtilizationSampler {
  public:
-  ZeroSampler(const Platform* platform, double seconds_per_tick)
-      : platform_(platform), seconds_per_tick_(seconds_per_tick) {}
+  ZeroSampler(const numasim::Topology& topology, double seconds_per_tick)
+      : zero_(std::make_shared<const perf::CounterSnapshot>(
+            topology.num_nodes(), topology.total_cores())),
+        seconds_per_tick_(seconds_per_tick) {}
 
   perf::WindowStats Sample() override {
-    perf::WindowStats stats;
-    const int nodes = platform_->topology().num_nodes();
-    const int cores = platform_->topology().total_cores();
+    perf::WindowStats stats(zero_, zero_);
     // A synthetic one-tick window, regardless of wall time: a dry run must
     // read as a valid (idle) measurement, not as a zero-width dropout the
     // degraded-telemetry policy would hold on.
     stats.ticks = 1;
     stats.seconds = seconds_per_tick_;
-    stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-    stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-    stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-    stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-    stats.core_busy_cycles.assign(static_cast<size_t>(cores), 0);
     return stats;
   }
 
   void Reset() override {}
 
  private:
-  const Platform* platform_;
+  perf::SnapshotPtr zero_;
   double seconds_per_tick_;
 };
 
-/// /proc/stat-backed utilization: per-cpu busy jiffies (everything but
-/// idle+iowait) land in core_busy_cycles, the real-hardware equivalent of
-/// the simulator's cycle counters. The other counter groups have no cheap
+/// One /proc/stat read: per-cpu busy jiffies (everything but idle+iowait)
+/// land in core_busy_cycles, the real-hardware equivalent of the
+/// simulator's cycle counters. The other counter groups have no cheap
 /// unprivileged source and stay zero — the kCpuLoad strategy (the paper's
 /// default on real hardware) never reads them.
-class ProcStatSampler : public perf::UtilizationSampler {
- public:
-  ProcStatSampler(const Platform* platform, const std::string& proc_root,
-                  double seconds_per_tick)
-      : platform_(platform),
-        proc_root_(proc_root),
-        seconds_per_tick_(seconds_per_tick) {
-    Reset();
-  }
-
-  perf::WindowStats Sample() override {
-    const std::vector<int64_t> now_busy = ReadBusyJiffies();
-    const simcore::Tick now_tick = platform_->Now();
-    perf::WindowStats stats;
-    const int nodes = platform_->topology().num_nodes();
-    stats.ticks = now_tick - baseline_tick_;
-    stats.seconds = static_cast<double>(stats.ticks) * seconds_per_tick_;
-    stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-    stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-    stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-    stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-    stats.core_busy_cycles.resize(now_busy.size());
-    for (size_t i = 0; i < now_busy.size(); ++i) {
-      stats.core_busy_cycles[i] =
-          i < baseline_busy_.size() ? now_busy[i] - baseline_busy_[i] : 0;
+perf::CounterSnapshot ReadProcStat(const std::string& proc_root, int nodes,
+                                   int cores) {
+  perf::CounterSnapshot snapshot(nodes, cores);
+  std::ifstream in(proc_root + "/stat");
+  std::string line;
+  while (std::getline(in, line)) {
+    // Per-cpu lines only: the aggregate "cpu  ..." line would otherwise
+    // match too (%d skips the whitespace) and field-shift its totals into a
+    // bogus per-cpu entry.
+    if (line.size() < 4 || line.compare(0, 3, "cpu") != 0 || line[3] < '0' ||
+        line[3] > '9') {
+      continue;
     }
-    baseline_busy_ = now_busy;
-    baseline_tick_ = now_tick;
-    return stats;
-  }
-
-  void Reset() override {
-    baseline_busy_ = ReadBusyJiffies();
-    baseline_tick_ = platform_->Now();
-  }
-
- private:
-  std::vector<int64_t> ReadBusyJiffies() const {
-    const int cores = platform_->topology().total_cores();
-    std::vector<int64_t> busy(static_cast<size_t>(cores), 0);
-    std::ifstream in(proc_root_ + "/stat");
-    std::string line;
-    while (std::getline(in, line)) {
-      // Per-cpu lines only: the aggregate "cpu  ..." line would otherwise
-      // match too (%d skips the whitespace) and field-shift its totals
-      // into a bogus per-cpu entry.
-      if (line.size() < 4 || line.compare(0, 3, "cpu") != 0 ||
-          line[3] < '0' || line[3] > '9') {
-        continue;
-      }
-      int cpu = -1;
-      long long user = 0, nice = 0, system = 0, idle = 0, iowait = 0;
-      long long irq = 0, softirq = 0, steal = 0;
-      if (std::sscanf(line.c_str(),
-                      "cpu%d %lld %lld %lld %lld %lld %lld %lld %lld", &cpu,
-                      &user, &nice, &system, &idle, &iowait, &irq, &softirq,
-                      &steal) >= 5 &&
-          cpu >= 0 && cpu < cores) {
-        busy[static_cast<size_t>(cpu)] =
-            user + nice + system + irq + softirq + steal;
-      }
+    int cpu = -1;
+    long long user = 0, nice = 0, system = 0, idle = 0, iowait = 0;
+    long long irq = 0, softirq = 0, steal = 0;
+    if (std::sscanf(line.c_str(),
+                    "cpu%d %lld %lld %lld %lld %lld %lld %lld %lld", &cpu,
+                    &user, &nice, &system, &idle, &iowait, &irq, &softirq,
+                    &steal) >= 5 &&
+        cpu >= 0 && cpu < cores) {
+      snapshot.core_busy_cycles[static_cast<size_t>(cpu)] =
+          user + nice + system + irq + softirq + steal;
     }
-    return busy;
   }
-
-  const Platform* platform_;
-  std::string proc_root_;
-  double seconds_per_tick_;
-  std::vector<int64_t> baseline_busy_;
-  simcore::Tick baseline_tick_ = 0;
-};
+  return snapshot;
+}
 
 }  // namespace
 
@@ -361,10 +312,23 @@ void LinuxPlatform::SetAllowedMask(const CpuMask& mask) {
 
 std::unique_ptr<perf::UtilizationSampler> LinuxPlatform::CreateSampler() {
   if (options_.dry_run) {
-    return std::make_unique<ZeroSampler>(this, options_.seconds_per_tick);
+    return std::make_unique<ZeroSampler>(*topology_, options_.seconds_per_tick);
   }
-  return std::make_unique<ProcStatSampler>(this, options_.proc_root,
-                                           options_.seconds_per_tick);
+  if (proc_stat_ == nullptr) {
+    // One /proc/stat read per tick, shared by every tenant's sampler.
+    proc_stat_ = std::make_shared<perf::SnapshotSource>(
+        [this] { return Now(); },
+        [this] {
+          return ReadProcStat(options_.proc_root, topology_->num_nodes(),
+                              topology_->total_cores());
+        });
+  }
+  return std::make_unique<perf::Sampler>(proc_stat_, nullptr,
+                                         options_.seconds_per_tick);
+}
+
+int64_t LinuxPlatform::snapshot_copies() const {
+  return proc_stat_ == nullptr ? 0 : proc_stat_->copies();
 }
 
 void LinuxPlatform::AddTickHook(std::function<void(simcore::Tick)> hook) {

@@ -35,8 +35,9 @@ struct LinuxPlatformOptions {
 
 /// Platform backend over a real Linux machine: cpusets are cgroup-v2
 /// directories whose `cpuset.cpus` files the arbiter rewrites, utilization
-/// is windowed per-cpu busy time from /proc/stat, and time is the monotonic
-/// clock quantised to seconds_per_tick. Attach a DBMS to a tenant cpuset
+/// is windowed per-cpu busy time from /proc/stat (read once per tick for
+/// all tenants), and time is the monotonic clock quantised to
+/// seconds_per_tick. Attach a DBMS to a tenant cpuset
 /// with AttachPid() and the same CoreArbiter that drives the simulator
 /// elastically resizes the real process's core set — the deployment story
 /// of the paper's prototype (tools/elasticored is the driving loop).
@@ -89,6 +90,10 @@ class LinuxPlatform : public Platform {
 
   const LinuxPlatformOptions& options() const { return options_; }
 
+  /// /proc/stat reads taken by the samplers so far: one per tick at which
+  /// any of them sampled, however many tenants there are (0 in dry runs).
+  int64_t snapshot_copies() const;
+
  private:
   struct Cpuset {
     std::string path;
@@ -123,6 +128,8 @@ class LinuxPlatform : public Platform {
   bool parent_ready_ = false;
   /// Cpuset backing SetAllowedMask (created on first use).
   CpusetId allowed_cpuset_ = kNoCpuset;
+  /// Shared /proc/stat snapshots (created with the first live sampler).
+  std::shared_ptr<perf::SnapshotSource> proc_stat_;
   int64_t clk_tck_ = 100;
   std::chrono::steady_clock::time_point epoch_;
 };

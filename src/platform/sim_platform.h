@@ -15,12 +15,17 @@ namespace elastic::platform {
 /// the virtual clock. Pure forwarding — an arbiter driven through a
 /// SimPlatform behaves byte-for-byte like one driven against the machine
 /// directly, which is what keeps the figure benches' outputs stable across
-/// the layering refactor.
+/// the layering refactor. All its samplers share one snapshot source, so a
+/// monitoring round copies the machine's counters once, not once per
+/// tenant.
 ///
 /// Non-owning: the machine must outlive the SimPlatform.
 class SimPlatform : public Platform {
  public:
-  explicit SimPlatform(ossim::Machine* machine) : machine_(machine) {}
+  explicit SimPlatform(ossim::Machine* machine)
+      : machine_(machine),
+        snapshots_(std::make_shared<perf::SnapshotSource>(
+            &machine->counters(), &machine->clock())) {}
 
   const numasim::Topology& topology() const override {
     return machine_->topology();
@@ -44,8 +49,8 @@ class SimPlatform : public Platform {
     machine_->scheduler().SetAllowedMask(mask);
   }
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override {
-    return std::make_unique<perf::Sampler>(&machine_->counters(),
-                                           &machine_->clock());
+    return std::make_unique<perf::Sampler>(snapshots_, &machine_->counters(),
+                                           simcore::Clock::kSecondsPerTick);
   }
   void AddTickHook(std::function<void(simcore::Tick)> hook) override {
     machine_->AddTickHook(std::move(hook));
@@ -54,8 +59,13 @@ class SimPlatform : public Platform {
 
   ossim::Machine* machine() { return machine_; }
 
+  /// Machine counter copies taken by the samplers so far (one per tick at
+  /// which any of them sampled).
+  int64_t snapshot_copies() const { return snapshots_->copies(); }
+
  private:
   ossim::Machine* machine_;
+  std::shared_ptr<perf::SnapshotSource> snapshots_;
 };
 
 }  // namespace elastic::platform

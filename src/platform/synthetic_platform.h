@@ -8,6 +8,7 @@
 
 #include "numasim/topology.h"
 #include "perf/counters.h"
+#include "perf/sampler.h"
 #include "platform/platform.h"
 #include "simcore/clock.h"
 #include "simcore/trace.h"
@@ -48,10 +49,16 @@ class SyntheticPlatform : public Platform {
   /// and firing the registered tick hooks (the arbiter's monitoring loop).
   void AdvanceTicks(int64_t ticks);
 
+  /// Counter copies taken by the samplers so far: one per tick at which
+  /// any of them sampled, however many tenants there are.
+  int64_t snapshot_copies() const { return snapshots_->copies(); }
+
  private:
   numasim::Topology topology_;
   simcore::Clock clock_;
   perf::CounterSet counters_;
+  /// Shared by every sampler (see perf::SnapshotSource).
+  std::shared_ptr<perf::SnapshotSource> snapshots_;
   simcore::Trace trace_;
   int64_t cycles_per_tick_;
 

@@ -64,8 +64,10 @@ TEST_F(ModeTest, FullMaskCannotAllocate) {
 }
 
 perf::WindowStats StatsWithPages(std::vector<int64_t> pages) {
+  perf::CounterSnapshot deltas(static_cast<int>(pages.size()), 0);
+  deltas.node_access_pages = std::move(pages);
   perf::WindowStats stats;
-  stats.node_access_pages = std::move(pages);
+  stats.SetDeltas(std::move(deltas));
   return stats;
 }
 

@@ -4,6 +4,7 @@
 
 #include "ossim/machine.h"
 #include "platform/sim_platform.h"
+#include "platform/synthetic_platform.h"
 #include "simcore/rng.h"
 
 namespace elastic::core {
@@ -483,6 +484,79 @@ TEST(ArbiterTest, SloVsSloTieBreaksByProportionalViolation) {
   EXPECT_EQ(arbiter.nalloc(1), 2);
   EXPECT_EQ(arbiter.preemptions(), 1);
   ExpectDisjointCover(arbiter, 4);
+}
+
+TEST(ArbiterTest, GrowerGainsAPreemptedCoreThenLosesItInTheSameRound) {
+  // One round of phase 3 with three unmet growers. "mid" (an SLO tenant
+  // 1.5x over target, at its floor of 4) preempts the best-effort "scan",
+  // which drops to its floor of 2 and stops being a victim. "worst" (2x
+  // over target) then finds no ordinary victim and tie-breaks against
+  // "mid", now one core above its floor. The expected masks are those the
+  // per-grower rescan of every tenant produced.
+  ossim::MachineOptions options;
+  options.config.num_nodes = 2;
+  options.config.cores_per_node = 4;
+  auto machine = std::make_unique<ossim::Machine>(options);
+  ArbiterConfig config;
+  config.policy = ArbitrationPolicy::kSloAware;
+  platform::SimPlatform platform(machine.get());
+  CoreArbiter arbiter(&platform, config);
+  double p99_mid = -1.0;
+  double p99_worst = -1.0;
+  arbiter.AddTenant(SloTenant("mid", 4, /*slo_s=*/0.050, &p99_mid));
+  arbiter.AddTenant(SloTenant("worst", 1, /*slo_s=*/0.050, &p99_worst));
+  arbiter.AddTenant(Tenant("scan", 2));
+  arbiter.Install();
+
+  // The scan tenant absorbs the last free core first.
+  FakeLoad(machine.get(), arbiter.tenant_mask(0), 50.0, 20);
+  FakeLoad(machine.get(), arbiter.tenant_mask(1), 50.0, 20);
+  FakeLoad(machine.get(), arbiter.tenant_mask(2), 99.0, 20);
+  machine->clock().Advance(20);
+  arbiter.Poll(machine->clock().now());
+  ASSERT_EQ(arbiter.nalloc(2), 3);
+  ASSERT_EQ(arbiter.FreePool().Count(), 0);
+
+  p99_mid = 0.075;
+  p99_worst = 0.100;
+  for (int t = 0; t < 3; ++t) {
+    FakeLoad(machine.get(), arbiter.tenant_mask(t), 99.0, 20);
+  }
+  machine->clock().Advance(20);
+  arbiter.Poll(machine->clock().now());
+
+  // Core 7 went scan -> mid -> worst.
+  EXPECT_EQ(arbiter.tenant_mask(0).ToCpuList(), "0-3");
+  EXPECT_EQ(arbiter.tenant_mask(1).ToCpuList(), "4,7");
+  EXPECT_EQ(arbiter.tenant_mask(2).ToCpuList(), "5-6");
+  EXPECT_EQ(arbiter.preemptions(), 2);
+  ASSERT_EQ(arbiter.log().size(), 2u);
+  EXPECT_EQ(arbiter.log().back().preemptions, 2);
+  EXPECT_EQ(arbiter.log().back().handoffs, 2);
+  EXPECT_EQ(arbiter.log().back().starved, 1);
+  ExpectDisjointCover(arbiter, 8);
+}
+
+TEST(ArbiterTest, RoundCopiesMachineCountersOnceForAllTenants) {
+  // Every tenant's sampler shares the platform's snapshot of the round's
+  // tick: a round copies the machine's counters once, not once per tenant.
+  numasim::MachineConfig machine;
+  machine.num_nodes = 4;
+  machine.cores_per_node = 4;
+  platform::SyntheticPlatform platform(machine);
+  ArbiterConfig config;
+  config.monitor_period_ticks = 20;
+  CoreArbiter arbiter(&platform, config);
+  for (int i = 0; i < 12; ++i) {
+    arbiter.AddTenant(Tenant("t" + std::to_string(i), 1));
+  }
+  arbiter.Install();
+  EXPECT_EQ(platform.snapshot_copies(), 1);  // twelve baselines, one copy
+  for (int round = 1; round <= 3; ++round) {
+    platform.AdvanceTicks(20);
+    EXPECT_EQ(platform.snapshot_copies(), 1 + round);
+  }
+  EXPECT_EQ(arbiter.log().size(), 3u);
 }
 
 TEST(ArbiterTest, SloVsSloEqualViolationHoldsInsteadOfPingPong) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "perf/counters.h"
 #include "simcore/clock.h"
 
@@ -20,9 +23,9 @@ TEST(SamplerTest, DeltasSinceBaseline) {
 
   const WindowStats stats = sampler.Sample();
   EXPECT_EQ(stats.ticks, 5);
-  EXPECT_EQ(stats.l3_misses[2], 10);
+  EXPECT_EQ(stats.l3_misses(2), 10);
   EXPECT_EQ(stats.ht_bytes, 4096);
-  EXPECT_EQ(stats.core_busy_cycles[0], 1000);
+  EXPECT_EQ(stats.core_busy_cycles(0), 1000);
 }
 
 TEST(SamplerTest, SampleRebaselines) {
@@ -83,6 +86,100 @@ TEST(SamplerTest, BandwidthUsesSimulatedSeconds) {
   const WindowStats stats = sampler.Sample();
   EXPECT_NEAR(stats.HtBytesPerSecond(), 1e6, 1.0);
   EXPECT_NEAR(stats.ImcBytesPerSecond(3), 2e6, 1.0);
+}
+
+void ExpectSameWindow(const WindowStats& a, const WindowStats& b) {
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.ht_bytes, b.ht_bytes);
+  EXPECT_EQ(a.minor_faults, b.minor_faults);
+  EXPECT_EQ(a.stolen_tasks, b.stolen_tasks);
+  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
+  EXPECT_EQ(a.tasks_spawned, b.tasks_spawned);
+  const CounterSnapshot da = a.Deltas();
+  const CounterSnapshot db = b.Deltas();
+  EXPECT_EQ(da.l3_hits, db.l3_hits);
+  EXPECT_EQ(da.l3_misses, db.l3_misses);
+  EXPECT_EQ(da.imc_bytes, db.imc_bytes);
+  EXPECT_EQ(da.node_access_pages, db.node_access_pages);
+  EXPECT_EQ(da.core_busy_cycles, db.core_busy_cycles);
+}
+
+void Bump(CounterSet* counters, int64_t by) {
+  counters->l3_hits[0] += by;
+  counters->l3_misses[1] += 2 * by;
+  counters->imc_bytes[2] += 4096 * by;
+  counters->node_access_pages[3] += 3 * by;
+  counters->core_busy_cycles[5] += 1000 * by;
+  counters->ht_bytes_total += 64 * by;
+  counters->minor_faults += by;
+  counters->stolen_tasks += by;
+  counters->tasks_spawned += by;
+}
+
+TEST(SamplerTest, SamplersAtOneTickShareOneCopy) {
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  auto source = std::make_shared<SnapshotSource>(&counters, &clock);
+  std::vector<std::unique_ptr<Sampler>> shared;
+  for (int i = 0; i < 8; ++i) {
+    shared.push_back(std::make_unique<Sampler>(
+        source, &counters, simcore::Clock::kSecondsPerTick));
+  }
+  // A sampler over its own private source is the reference.
+  Sampler independent(&counters, &clock);
+  EXPECT_EQ(source->copies(), 1);  // eight baselines, one copy
+
+  for (int round = 1; round <= 3; ++round) {
+    Bump(&counters, round);
+    clock.Advance(5);
+    const WindowStats expected = independent.Sample();
+    EXPECT_EQ(expected.core_busy_cycles(5), 1000 * round);
+    for (const auto& sampler : shared) {
+      ExpectSameWindow(sampler->Sample(), expected);
+    }
+    EXPECT_EQ(source->copies(), 1 + round);  // one per sampling tick
+  }
+}
+
+TEST(SamplerTest, ScalarBumpAtOneTickIsSeenOnlyByLaterSamplers) {
+  // Hooks bump thread_migrations (SetCpusetMask) between two tenants'
+  // samples at one tick. The scalar counters are read live, so only the
+  // sampler that reads after the bump sees it, exactly as when every
+  // sampler copied the whole CounterSet.
+  CounterSet counters(2, 2, 4);
+  simcore::Clock clock;
+  auto source = std::make_shared<SnapshotSource>(&counters, &clock);
+  Sampler first(source, &counters, simcore::Clock::kSecondsPerTick);
+  Sampler second(source, &counters, simcore::Clock::kSecondsPerTick);
+  clock.Advance(10);
+  EXPECT_EQ(first.Sample().thread_migrations, 0);
+  counters.thread_migrations += 2;
+  EXPECT_EQ(second.Sample().thread_migrations, 2);
+  EXPECT_EQ(source->copies(), 2);
+
+  // Next window: the earlier sampler now picks the bump up, the later one
+  // already has it in its baseline.
+  clock.Advance(10);
+  EXPECT_EQ(first.Sample().thread_migrations, 2);
+  EXPECT_EQ(second.Sample().thread_migrations, 0);
+}
+
+TEST(SamplerTest, SetDeltasLeavesSharedSnapshotsUntouched) {
+  CounterSet counters(2, 2, 4);
+  simcore::Clock clock;
+  auto source = std::make_shared<SnapshotSource>(&counters, &clock);
+  Sampler a(source, &counters, simcore::Clock::kSecondsPerTick);
+  Sampler b(source, &counters, simcore::Clock::kSecondsPerTick);
+  counters.core_busy_cycles[1] += 300;
+  clock.Advance(1);
+  WindowStats scrambled = a.Sample();
+  CounterSnapshot deltas = scrambled.Deltas();
+  deltas.core_busy_cycles.assign(deltas.core_busy_cycles.size(), -1);
+  scrambled.SetDeltas(std::move(deltas));
+  EXPECT_EQ(scrambled.core_busy_cycles(1), -1);
+  EXPECT_EQ(scrambled.ticks, 1);
+  EXPECT_EQ(b.Sample().core_busy_cycles(1), 300);
 }
 
 }  // namespace

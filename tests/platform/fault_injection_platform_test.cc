@@ -92,7 +92,7 @@ TEST(FaultInjectionPlatformTest, SampleDropoutIsZeroWidthAndSpansTheGap) {
   machine->clock().Advance(10);
   const perf::WindowStats dropped = sampler->Sample();
   EXPECT_EQ(dropped.ticks, 0);
-  EXPECT_TRUE(dropped.core_busy_cycles.empty());
+  EXPECT_EQ(dropped.num_cores(), 0);
 
   // The inner sampler was never touched, so the next good window covers the
   // whole blind period — 20 ticks, not 10.
@@ -112,11 +112,51 @@ TEST(FaultInjectionPlatformTest, SampleGarbageScramblesBusyCounters) {
   auto sampler = platform.CreateSampler();
   machine->clock().Advance(10);
   const perf::WindowStats garbage = sampler->Sample();
-  ASSERT_FALSE(garbage.core_busy_cycles.empty());
+  ASSERT_GT(garbage.num_cores(), 0);
   // Absurd by construction: far more busy cycles than the window holds.
-  EXPECT_GT(garbage.core_busy_cycles[0],
+  EXPECT_GT(garbage.core_busy_cycles(0),
             garbage.ticks * inner.cycles_per_tick() * 100);
   EXPECT_EQ(garbage.ticks, 10);  // the window itself is real, data is not
+}
+
+TEST(FaultInjectionPlatformTest, FaultyWindowsLeaveNeighboursUnchanged) {
+  // Every sampler of the platform shares one snapshot per tick: garbage on
+  // one sampler must not scramble the shared copy, and a dropout must not
+  // disturb it either.
+  auto machine = SmallMachine();
+  SimPlatform inner(machine.get());
+  FaultSchedule schedule;
+  schedule.rules.push_back(
+      Rule(FaultKind::kSampleGarbage, 0, 100, /*target=*/0));
+  schedule.rules.push_back(
+      Rule(FaultKind::kSampleDropout, 0, 100, /*target=*/1));
+  FaultInjectionPlatform platform(&inner, schedule);
+  auto garbage = platform.CreateSampler();  // creation index 0
+  auto dropout = platform.CreateSampler();  // creation index 1
+  auto healthy = platform.CreateSampler();  // creation index 2
+  perf::Sampler reference(&machine->counters(), &machine->clock());
+
+  machine->counters().core_busy_cycles[1] += 700;
+  machine->counters().imc_bytes[0] += 8192;
+  machine->counters().ht_bytes_total += 4096;
+  machine->clock().Advance(10);
+  const perf::WindowStats scrambled = garbage->Sample();
+  const perf::WindowStats dropped = dropout->Sample();
+  const perf::WindowStats window = healthy->Sample();
+  const perf::WindowStats expected = reference.Sample();
+
+  EXPECT_GT(scrambled.core_busy_cycles(1), 700);
+  EXPECT_EQ(dropped.ticks, 0);
+  EXPECT_EQ(window.ticks, expected.ticks);
+  EXPECT_EQ(window.ht_bytes, expected.ht_bytes);
+  EXPECT_EQ(window.Deltas().core_busy_cycles,
+            expected.Deltas().core_busy_cycles);
+  EXPECT_EQ(window.Deltas().imc_bytes, expected.Deltas().imc_bytes);
+  EXPECT_EQ(window.core_busy_cycles(1), 700);
+  EXPECT_EQ(window.imc_bytes(0), 8192);
+  EXPECT_EQ(platform.injected(FaultKind::kSampleGarbage), 1);
+  EXPECT_EQ(platform.injected(FaultKind::kSampleDropout), 1);
+  EXPECT_EQ(inner.snapshot_copies(), 2);  // creation tick + sampling tick
 }
 
 TEST(FaultInjectionPlatformTest, ClockStallFreezesNowInsideTheWindow) {

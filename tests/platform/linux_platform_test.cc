@@ -4,9 +4,14 @@
 // deployment performs the same ops for real (docs/DEPLOY.md).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -163,11 +168,78 @@ TEST(LinuxPlatformTest, DryRunSamplerIsDeterministicallyIdle) {
   LinuxPlatform platform(DryRunOptions());
   auto sampler = platform.CreateSampler();
   const perf::WindowStats stats = sampler->Sample();
-  EXPECT_EQ(stats.core_busy_cycles.size(), 8u);
-  for (int64_t busy : stats.core_busy_cycles) EXPECT_EQ(busy, 0);
+  EXPECT_EQ(stats.num_cores(), 8);
+  for (int core = 0; core < stats.num_cores(); ++core) {
+    EXPECT_EQ(stats.core_busy_cycles(core), 0);
+  }
   EXPECT_DOUBLE_EQ(stats.CpuLoadPercent(CpuMask::FirstN(8),
                                         platform.cycles_per_tick()),
                    0.0);
+}
+
+/// A /proc/stat with two CPUs whose busy jiffies (user + system) are
+/// `busy0` and `busy1`.
+void WriteProcStat(const std::string& root, int busy0, int busy1) {
+  std::ofstream out(root + "/stat", std::ios::trunc);
+  out << "cpu  " << busy0 + busy1 << " 0 0 2000 0 0 0 0\n"
+      << "cpu0 " << busy0 << " 0 0 1000 0 0 0 0\n"
+      << "cpu1 " << busy1 << " 0 0 1000 0 0 0 0\n"
+      << "intr 0\n";
+}
+
+TEST(LinuxPlatformTest, SamplersShareOneProcStatReadPerTick) {
+  // N tenants' samplers cost one /proc/stat parse per monitoring tick, not
+  // one per tenant: they share the read of the tick.
+  const std::string root = ::testing::TempDir() + "/elasticore_proc_stat_" +
+                           std::to_string(::getpid());
+  ::mkdir(root.c_str(), 0755);
+  WriteProcStat(root, 100, 200);
+  LinuxPlatformOptions options;
+  options.cgroup_root = "/nonexistent-elasticore-test";
+  options.num_nodes = 1;
+  options.cores_per_node = 2;
+  options.seconds_per_tick = 0.02;
+  options.proc_root = root;
+  LinuxPlatform platform(options);
+
+  // Creates the samplers within one tick and samples them all within the
+  // next; retries when a tick boundary falls in between.
+  std::vector<std::unique_ptr<perf::UtilizationSampler>> samplers;
+  std::vector<perf::WindowStats> windows;
+  int64_t creation_reads = 0;
+  int64_t sampling_reads = 0;
+  bool one_tick_each = false;
+  for (int attempt = 0; attempt < 20 && !one_tick_each; ++attempt) {
+    // Start on a fresh tick, one no sampler has read yet.
+    const simcore::Tick start = platform.Now();
+    while (platform.Now() == start) ::usleep(500);
+    WriteProcStat(root, 100, 200);
+    const simcore::Tick created = platform.Now();
+    const int64_t before_creation = platform.snapshot_copies();
+    samplers.clear();
+    for (int i = 0; i < 4; ++i) samplers.push_back(platform.CreateSampler());
+    creation_reads = platform.snapshot_copies() - before_creation;
+    const bool created_in_one_tick = platform.Now() == created;
+    while (platform.Now() == created) ::usleep(500);
+    WriteProcStat(root, 150, 260);
+    const simcore::Tick sampled = platform.Now();
+    const int64_t before_sampling = platform.snapshot_copies();
+    windows.clear();
+    for (const auto& sampler : samplers) windows.push_back(sampler->Sample());
+    sampling_reads = platform.snapshot_copies() - before_sampling;
+    one_tick_each = created_in_one_tick && sampled == created + 1 &&
+                    platform.Now() == sampled;
+  }
+  ASSERT_TRUE(one_tick_each);
+  EXPECT_EQ(creation_reads, 1);
+  EXPECT_EQ(sampling_reads, 1);
+  for (const perf::WindowStats& window : windows) {
+    EXPECT_EQ(window.ticks, 1);
+    EXPECT_EQ(window.core_busy_cycles(0), 50);
+    EXPECT_EQ(window.core_busy_cycles(1), 60);
+  }
+  std::remove((root + "/stat").c_str());
+  ::rmdir(root.c_str());
 }
 
 // The acceptance scenario: a whole arbiter driven through the Linux

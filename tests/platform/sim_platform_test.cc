@@ -259,7 +259,7 @@ TEST(SimPlatformTest, ForwardsCpusetsClockAndSampler) {
   machine->clock().Advance(3);
   const perf::WindowStats stats = sampler->Sample();
   EXPECT_EQ(stats.ticks, 3);
-  EXPECT_EQ(stats.core_busy_cycles[0], 500);
+  EXPECT_EQ(stats.core_busy_cycles(0), 500);
 }
 
 }  // namespace
