@@ -48,9 +48,10 @@ OltpContentionExperiment::OltpContentionExperiment(
 }
 
 void OltpContentionExperiment::Submit(const oltp::TxnRequest& request,
-                                      const oltp::cc::CcTxn& cc,
-                                      int attempts) {
-  engine_->Submit(request, cc, [this, request, cc, attempts](bool committed) {
+                                      oltp::cc::CcTxn cc, int attempts) {
+  engine_->Submit(request, std::move(cc), [this, request, attempts](
+                                              bool committed,
+                                              oltp::cc::CcTxn& txn) {
     if (committed) {
       committed_++;
       return;
@@ -65,7 +66,7 @@ void OltpContentionExperiment::Submit(const oltp::TxnRequest& request,
                 backoff * std::min<int64_t>(attempts + 1, 8) +
                 request.id % backoff;
     retry.request = request;
-    retry.cc = cc;
+    retry.cc = std::move(txn);
     retry.attempts = attempts + 1;
     retry_queue_.push_back(std::move(retry));
   });
@@ -77,11 +78,11 @@ void OltpContentionExperiment::PumpRetries(simcore::Tick now) {
       ++i;
       continue;
     }
-    const Retry retry = std::move(retry_queue_[i]);
+    Retry retry = std::move(retry_queue_[i]);
     retry_queue_.erase(retry_queue_.begin() +
                        static_cast<std::ptrdiff_t>(i));
     retries_++;
-    Submit(retry.request, retry.cc, retry.attempts);
+    Submit(retry.request, std::move(retry.cc), retry.attempts);
   }
 }
 
@@ -93,11 +94,11 @@ OltpContentionResult OltpContentionExperiment::Run(int64_t max_ticks) {
   for (int64_t i = 0; i < options_.total_txns; ++i) {
     oltp::TxnRequest request;
     request.id = i;
-    const oltp::cc::CcTxn txn =
-        options_.workload == oltp::cc::WorkloadKind::kSmallBank
-            ? smallbank.Next()
-            : ycsb.Next();
-    Submit(request, txn, /*attempts=*/0);
+    Submit(request,
+           options_.workload == oltp::cc::WorkloadKind::kSmallBank
+               ? smallbank.Next()
+               : ycsb.Next(),
+           /*attempts=*/0);
   }
 
   int64_t ticks = 0;
@@ -230,48 +231,52 @@ ContentionArbiterExperiment::Pending ContentionArbiterExperiment::NextTxn(
   return pending;
 }
 
-void ContentionArbiterExperiment::SubmitOne(int tenant,
-                                            const Pending& pending) {
+void ContentionArbiterExperiment::SubmitOne(int tenant, Pending pending) {
   TenantRt& rt = tenants_[static_cast<size_t>(tenant)];
-  const oltp::TxnRequest request = pending.request;
-  const oltp::cc::CcTxn cc = pending.cc;
+  const int64_t id = pending.request.id;
   const int attempts = pending.attempts;
-  rt.engine->Submit(request, cc, [this, tenant, request, cc,
-                                  attempts](bool committed) {
-    TenantRt& owner = tenants_[static_cast<size_t>(tenant)];
-    if (committed) {
-      // Closed loop: the logical client immediately starts its next
-      // transaction (picked up by the pump on the following tick).
-      owner.queue.push_back(NextTxn(owner));
-      return;
-    }
-    // Same backoff discipline as the fixed-batch experiment: scale with the
-    // attempt count, stagger by transaction id.
-    const int64_t backoff = std::max<int64_t>(1, options_.retry_backoff_ticks);
-    Pending retry;
-    retry.due = machine_->clock().now() +
-                backoff * std::min<int64_t>(attempts + 2, 8) +
-                request.id % backoff;
-    retry.request = request;
-    retry.cc = cc;
-    retry.attempts = attempts + 1;
-    owner.queue.push_back(std::move(retry));
-  });
+  rt.engine->Submit(
+      pending.request, std::move(pending.cc),
+      [this, tenant, id, attempts](bool committed, oltp::cc::CcTxn& txn) {
+        TenantRt& owner = tenants_[static_cast<size_t>(tenant)];
+        if (committed) {
+          // Closed loop: the logical client immediately starts its next
+          // transaction (picked up by the pump on the following tick).
+          owner.queue.push_back(NextTxn(owner));
+          return;
+        }
+        // Same backoff discipline as the fixed-batch experiment: scale with
+        // the attempt count, stagger by transaction id.
+        const int64_t backoff =
+            std::max<int64_t>(1, options_.retry_backoff_ticks);
+        Pending retry;
+        retry.due = machine_->clock().now() +
+                    backoff * std::min<int64_t>(attempts + 2, 8) + id % backoff;
+        retry.request.id = id;
+        retry.cc = std::move(txn);
+        retry.attempts = attempts + 1;
+        owner.queue.push_back(std::move(retry));
+      });
 }
 
 void ContentionArbiterExperiment::Pump(simcore::Tick now) {
+  // One pass: due entries are submitted in queue order, the rest slide
+  // down over them in order. Submitting never touches the queue (a
+  // completion, which appends to it, only happens inside a scheduler tick).
   for (size_t t = 0; t < tenants_.size(); ++t) {
-    TenantRt& rt = tenants_[t];
-    for (size_t i = 0; i < rt.queue.size();) {
-      if (rt.queue[i].due > now) {
-        ++i;
+    std::deque<Pending>& queue = tenants_[t].queue;
+    size_t kept = 0;
+    for (size_t i = 0; i < queue.size(); ++i) {
+      if (queue[i].due > now) {
+        if (kept != i) queue[kept] = std::move(queue[i]);
+        kept++;
         continue;
       }
-      const Pending pending = std::move(rt.queue[i]);
-      rt.queue.erase(rt.queue.begin() + static_cast<std::ptrdiff_t>(i));
-      if (pending.attempts > 0) rt.retries++;
-      SubmitOne(static_cast<int>(t), pending);
+      if (queue[i].attempts > 0) tenants_[t].retries++;
+      SubmitOne(static_cast<int>(t), std::move(queue[i]));
     }
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept),
+                queue.end());
   }
 }
 

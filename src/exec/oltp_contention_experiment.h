@@ -81,7 +81,7 @@ class OltpContentionExperiment {
     int attempts = 1;
   };
 
-  void Submit(const oltp::TxnRequest& request, const oltp::cc::CcTxn& cc,
+  void Submit(const oltp::TxnRequest& request, oltp::cc::CcTxn cc,
               int attempts);
   void PumpRetries(simcore::Tick now);
 
@@ -206,7 +206,7 @@ class ContentionArbiterExperiment {
     int64_t retries = 0;
   };
 
-  void SubmitOne(int tenant, const Pending& pending);
+  void SubmitOne(int tenant, Pending pending);
   void Pump(simcore::Tick now);
   /// A fresh transaction from the tenant's generator, due immediately.
   Pending NextTxn(TenantRt& rt) const;

@@ -2,8 +2,7 @@
 #define ELASTICORE_NUMASIM_L3_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "numasim/page_table.h"
 
@@ -17,6 +16,14 @@ namespace elastic::numasim {
 /// socket. All cores of a socket share the structure, so unrelated threads
 /// packed onto one node evict each other — exactly the "dense" failure mode
 /// the paper describes.
+///
+/// The cache is an exact LRU over a fixed slot array: every resident page
+/// holds one slot, the slots form a doubly linked recency list through
+/// intrusive prev/next indices, and an open-addressing (linear probing)
+/// index maps pages to slots. Everything is sized once in the constructor,
+/// so Access and Invalidate never allocate. A hit moves the page to the
+/// front, a miss on a full cache evicts the back, and Invalidate unlinks the
+/// page wherever it sits — the same eviction order as a list-based LRU.
 class L3Cache {
  public:
   explicit L3Cache(int capacity_pages);
@@ -33,16 +40,46 @@ class L3Cache {
   bool Invalidate(PageId page);
 
   /// Number of resident pages.
-  int64_t size() const { return static_cast<int64_t>(map_.size()); }
+  int64_t size() const { return size_; }
   int capacity() const { return capacity_; }
 
   /// Drops all contents (e.g., between experiments).
   void Clear();
 
  private:
+  static constexpr int32_t kNone = -1;
+
+  /// One frame: the resident page and its recency-list neighbours (prev is
+  /// towards the most recent end). A free slot chains the free list
+  /// through `next`.
+  struct Slot {
+    PageId page = 0;
+    int32_t prev = kNone;
+    int32_t next = kNone;
+  };
+  /// Index bucket: a page and its slot; slot == kNone marks an empty bucket.
+  struct Bucket {
+    PageId page = 0;
+    int32_t slot = kNone;
+  };
+
+  size_t HomeBucket(PageId page) const;
+  /// The bucket holding `page`, or the empty bucket that ends its probe run.
+  size_t FindBucket(PageId page) const;
+  /// Empties a bucket, shifting later entries of its probe run back so that
+  /// no lookup stops early (deletion without tombstones).
+  void EraseBucket(size_t bucket);
+  void Unlink(int32_t slot);
+  void PushFront(int32_t slot);
+
   int capacity_;
-  std::list<PageId> lru_;  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  int64_t size_ = 0;
+  std::vector<Slot> slots_;
+  int32_t head_ = kNone;  // most recently used
+  int32_t tail_ = kNone;  // least recently used: the next victim
+  int32_t free_ = kNone;
+  std::vector<Bucket> buckets_;
+  int bucket_shift_ = 0;  // 64 - log2(buckets_.size())
 };
 
 }  // namespace elastic::numasim

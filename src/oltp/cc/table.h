@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -104,30 +104,31 @@ class Table {
 
  private:
   static_assert(std::is_trivially_destructible_v<Record>,
-                "Free releases records without running destructors");
-  /// Frees a record array made by AllocateRecords.
-  struct Free {
-    void* block = nullptr;
-    void operator()(Record*) const { std::free(block); }
-  };
-  using Records = std::unique_ptr<Record[], Free>;
+                "ReleaseBlock drops records without running destructors");
 
-  /// Tables of tens of MB are built and dropped one after another (one
-  /// engine per experiment set-up). Over-aligned operator new[] goes through
-  /// glibc's memalign, whose freed blocks the next identical request does
-  /// not reliably reuse, so resident memory would depend on heap layout
-  /// rather than on live data. A plain malloc block of one size, aligned by
-  /// hand, is reused as is.
+  /// Page-aligned memory for a record array. Tables of tens of MB are built
+  /// and dropped one after another (one engine per experiment set-up). A
+  /// block freed to the heap leaves a hole that later small allocations
+  /// settle into, so the next table lands elsewhere and resident memory
+  /// follows heap layout rather than live data; a fresh mapping per table
+  /// makes every set-up fault the whole array in. So blocks are mapped
+  /// outside the heap, and a few released ones are kept for the next table
+  /// of the same size, which rewrites resident memory.
+  static void* AcquireBlock(size_t bytes);
+  static void ReleaseBlock(void* block, size_t bytes);
+
+  struct Release {
+    size_t bytes = 0;
+    void operator()(Record* records) const { ReleaseBlock(records, bytes); }
+  };
+  using Records = std::unique_ptr<Record[], Release>;
+
   static Records AllocateRecords(int64_t num_records) {
     const size_t count = static_cast<size_t>(std::max<int64_t>(num_records, 1));
-    void* block = std::malloc(count * sizeof(Record) + alignof(Record) - 1);
-    if (block == nullptr) throw std::bad_alloc();
-    const std::uintptr_t aligned =
-        (reinterpret_cast<std::uintptr_t>(block) + alignof(Record) - 1) &
-        ~std::uintptr_t{alignof(Record) - 1};
-    Record* records = reinterpret_cast<Record*>(aligned);
+    const size_t bytes = count * sizeof(Record);
+    Record* records = static_cast<Record*>(AcquireBlock(bytes));
     for (size_t k = 0; k < count; ++k) new (&records[k]) Record();
-    return Records(records, Free{block});
+    return Records(records, Release{bytes});
   }
 
   int64_t num_records_;

@@ -152,8 +152,8 @@ void OltpClient::SubmitToEngine(const TxnRequest& request,
   // was first admitted, and both its recorded latency and the oldest-
   // in-flight age signal must measure from there.
   if (cc_attempts == 0) in_flight_.insert(first_submit);
-  auto on_complete = [this, request, cc, first_submit,
-                      cc_attempts](bool committed) {
+  auto on_complete = [this, request, first_submit, cc_attempts](
+                         bool committed, cc::CcTxn& txn) {
     const simcore::Tick done = machine_->clock().now();
     if (committed) {
       last_completion_ = done;
@@ -176,7 +176,7 @@ void OltpClient::SubmitToEngine(const TxnRequest& request,
                 backoff * std::min<int64_t>(attempts, 8) +
                 request.id % backoff;
     entry.request = request;
-    entry.cc = cc;
+    entry.cc = std::move(txn);
     entry.first_submit = first_submit;
     entry.attempts = attempts;
     cc_retry_queue_.push_back(std::move(entry));

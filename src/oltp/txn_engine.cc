@@ -42,9 +42,12 @@ TxnEngine::TxnEngine(ossim::Machine* machine,
   for (int w = 0; w < pool; ++w) {
     const ossim::ThreadId id = machine_->scheduler().SpawnWorker(
         std::nullopt, on_job_done, options_.cpuset);
+    ELASTIC_CHECK(workers_.empty() || id == workers_.back() + 1,
+                  "engine workers must hold consecutive thread ids");
     workers_.push_back(id);
     idle_workers_.push_back(id);
   }
+  slots_.resize(workers_.size());
 }
 
 ossim::PageRange TxnEngine::BaseRange(const std::string& table_column,
@@ -114,8 +117,7 @@ ossim::Job TxnEngine::JobFor(const TxnRequest& request) {
   return job;
 }
 
-void TxnEngine::Submit(const TxnRequest& request,
-                       std::function<void(bool)> on_complete) {
+void TxnEngine::Submit(const TxnRequest& request, Completion on_complete) {
   ELASTIC_CHECK(request.partition >= 0 &&
                     request.partition < options_.num_partitions,
                 "partition out of range");
@@ -142,13 +144,13 @@ void TxnEngine::Submit(const TxnRequest& request,
   Dispatch(std::move(txn));
 }
 
-void TxnEngine::Submit(const TxnRequest& request, const cc::CcTxn& txn,
-                       std::function<void(bool)> on_complete) {
+void TxnEngine::Submit(const TxnRequest& request, cc::CcTxn txn,
+                       Completion on_complete) {
   PendingTxn pending;
   pending.request = request;
   pending.on_complete = std::move(on_complete);
   pending.is_cc = true;
-  pending.cc = txn;
+  pending.cc = std::move(txn);
   SubmitCc(std::move(pending));
 }
 
@@ -226,46 +228,46 @@ cc::CcTxn TxnEngine::DeriveClassicCcTxn(const TxnRequest& request) const {
   return txn;
 }
 
-ossim::Job TxnEngine::ExecuteCc(PendingTxn& txn) {
+ossim::Job TxnEngine::ExecuteCc(WorkerSlot& slot) {
   cc::Protocol& protocol = *cc_state_->protocol;
-  protocol.Begin(txn.ctx, static_cast<uint64_t>(txn.request.id));
-  std::vector<uint64_t> touched;
-  if (!cc::ExecuteCcTxn(protocol, txn.ctx, txn.cc, &touched)) {
+  protocol.Begin(slot.ctx, static_cast<uint64_t>(slot.txn.request.id));
+  slot.pre_aborted = false;
+  touched_.clear();
+  if (!cc::ExecuteCcTxn(protocol, slot.ctx, slot.txn.cc, &touched_)) {
     // No-wait conflict mid-transaction: roll back now; the job below still
     // charges the attempted operations (the wasted work of the abort).
-    protocol.Abort(txn.ctx);
-    txn.pre_aborted = true;
+    protocol.Abort(slot.ctx);
+    slot.pre_aborted = true;
     cc_lock_conflicts_++;
   }
 
   // Map the touched keys onto pages of the CC buffer: sorted, deduplicated,
   // adjacent pages merged into ranges. The whole job is marked as writing
   // when the transaction buffered any write (log + install traffic).
-  std::vector<int64_t> pages;
-  pages.reserve(touched.size());
-  for (const uint64_t key : touched) {
-    pages.push_back(static_cast<int64_t>(key) / options_.cc.rows_per_page);
+  pages_.clear();
+  for (const uint64_t key : touched_) {
+    pages_.push_back(static_cast<int64_t>(key) / options_.cc.rows_per_page);
   }
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  if (pages.empty()) pages.push_back(0);
+  std::sort(pages_.begin(), pages_.end());
+  pages_.erase(std::unique(pages_.begin(), pages_.end()), pages_.end());
+  if (pages_.empty()) pages_.push_back(0);
 
   ossim::Job job;
   job.cpu_cycles_per_page = options_.cpu_cycles_per_page;
-  const bool writes = !txn.ctx.writes.empty();
+  job.ranges.reserve(pages_.size());
   ossim::PageRange range;
   range.buffer = cc_state_->buffer;
-  range.begin = pages.front();
-  range.end = pages.front() + 1;
-  range.write = writes;
-  for (size_t i = 1; i < pages.size(); ++i) {
-    if (pages[i] == range.end) {
+  range.begin = pages_.front();
+  range.end = pages_.front() + 1;
+  range.write = !slot.ctx.writes.empty();
+  for (size_t i = 1; i < pages_.size(); ++i) {
+    if (pages_[i] == range.end) {
       range.end++;
       continue;
     }
     job.ranges.push_back(range);
-    range.begin = pages[i];
-    range.end = pages[i] + 1;
+    range.begin = pages_[i];
+    range.end = pages_[i] + 1;
   }
   job.ranges.push_back(range);
   return job;
@@ -278,7 +280,13 @@ bool TxnEngine::ThrottledByCpuset() const {
   // A zero-width cpuset still admits one transaction: the arbiter never
   // installs an empty tenant mask, but a transient reading must not
   // deadlock the engine.
-  return static_cast<int>(running_.size()) >= std::max(1, width);
+  return in_flight_ >= std::max(1, width);
+}
+
+TxnEngine::WorkerSlot& TxnEngine::SlotOf(ossim::ThreadId worker) {
+  const auto index = static_cast<size_t>(worker - workers_.front());
+  ELASTIC_CHECK(index < slots_.size(), "worker does not belong to this engine");
+  return slots_[index];
 }
 
 void TxnEngine::Dispatch(PendingTxn txn) {
@@ -288,26 +296,31 @@ void TxnEngine::Dispatch(PendingTxn txn) {
   }
   const ossim::ThreadId worker = idle_workers_.front();
   idle_workers_.pop_front();
-  ossim::Job job = txn.is_cc ? ExecuteCc(txn) : JobFor(txn.request);
-  running_.emplace(worker, std::move(txn));
+  WorkerSlot& slot = SlotOf(worker);
+  slot.busy = true;
+  slot.txn = std::move(txn);
+  in_flight_++;
+  ossim::Job job = slot.txn.is_cc ? ExecuteCc(slot) : JobFor(slot.txn.request);
   machine_->scheduler().AssignJob(worker, std::move(job));
 }
 
 void TxnEngine::OnJobDone(ossim::ThreadId worker) {
-  auto it = running_.find(worker);
-  ELASTIC_CHECK(it != running_.end(), "completion from unknown worker");
-  PendingTxn done = std::move(it->second);
-  running_.erase(it);
+  WorkerSlot& slot = SlotOf(worker);
+  ELASTIC_CHECK(slot.busy, "completion from an idle worker");
+  slot.busy = false;
+  in_flight_--;
+  // Moved out: the drain below may hand this worker its next transaction.
+  PendingTxn done = std::move(slot.txn);
   idle_workers_.push_back(worker);
 
   if (done.is_cc) {
     // Commit at job completion: the job's duration was the transaction's
     // lifetime, i.e. the window in which others could conflict with it.
     bool committed = false;
-    if (!done.pre_aborted) {
+    if (!slot.pre_aborted) {
       cc::CommittedTxn footprint;
       committed = cc_state_->protocol->Commit(
-          done.ctx, options_.cc.record_history ? &footprint : nullptr);
+          slot.ctx, options_.cc.record_history ? &footprint : nullptr);
       if (committed) {
         if (options_.cc.record_history) {
           cc_state_->history.push_back(std::move(footprint));
@@ -333,7 +346,7 @@ void TxnEngine::OnJobDone(ossim::ThreadId worker) {
       Dispatch(std::move(next));
     }
 
-    if (done.on_complete) done.on_complete(committed);
+    if (done.on_complete) done.on_complete(committed, done.cc);
     return;
   }
 
@@ -361,7 +374,7 @@ void TxnEngine::OnJobDone(ossim::ThreadId worker) {
     Dispatch(std::move(next));
   }
 
-  if (done.on_complete) done.on_complete(true);
+  if (done.on_complete) done.on_complete(true, done.cc);
 }
 
 double TxnEngine::RecentAbortFraction(simcore::Tick now,

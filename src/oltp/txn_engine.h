@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/base_catalog.h"
@@ -102,20 +101,25 @@ class TxnEngine {
   TxnEngine(const TxnEngine&) = delete;
   TxnEngine& operator=(const TxnEngine&) = delete;
 
+  /// Completion callback of a submitted transaction. `txn` is the
+  /// transaction as submitted (the derived record-level one for a classic
+  /// request under a CC protocol, empty on the latch path), handed back so
+  /// that a caller retrying an abort can move it into its retry queue
+  /// instead of keeping a copy of its own.
+  using Completion = std::function<void(bool committed, cc::CcTxn& txn)>;
+
   /// Starts (or enqueues, when the partition latch is busy) one classic
   /// NewOrder/Payment transaction. Under the default kPartitionLock protocol
   /// this is the original latch path and `committed` is always true; under
   /// any other protocol the request is translated into record-level
   /// operations and executed through the CC layer, where it can abort —
-  /// `on_complete(false)` means the caller owns the retry.
-  void Submit(const TxnRequest& request,
-              std::function<void(bool committed)> on_complete);
+  /// `on_complete(false, ...)` means the caller owns the retry.
+  void Submit(const TxnRequest& request, Completion on_complete);
 
   /// Starts one record-level transaction (YCSB / SmallBank) through the
   /// configured CC protocol. `request` only contributes the transaction id;
   /// isolation comes from the protocol, not the partition latches.
-  void Submit(const TxnRequest& request, const cc::CcTxn& txn,
-              std::function<void(bool committed)> on_complete);
+  void Submit(const TxnRequest& request, cc::CcTxn txn, Completion on_complete);
 
   int64_t completed_txns() const { return completed_; }
   /// Transactions that had to queue behind a busy partition latch.
@@ -170,10 +174,19 @@ class TxnEngine {
  private:
   struct PendingTxn {
     TxnRequest request;
-    std::function<void(bool)> on_complete;
+    Completion on_complete;
     /// CC-path fields (unused on the legacy latch path).
     bool is_cc = false;
     cc::CcTxn cc;
+  };
+
+  /// One worker's in-flight transaction. The CC context belongs to the
+  /// worker, not to the transaction: Begin clears its sets but keeps their
+  /// capacity, so a worker's transactions stop allocating once the largest
+  /// has run.
+  struct WorkerSlot {
+    bool busy = false;
+    PendingTxn txn;
     cc::TxnCtx ctx;
     /// The transaction hit a no-wait conflict at dispatch and was already
     /// rolled back; its job models the wasted work of the attempt.
@@ -212,10 +225,11 @@ class TxnEngine {
   /// customer row.
   cc::CcTxn DeriveClassicCcTxn(const TxnRequest& request) const;
   void SubmitCc(PendingTxn txn);
-  /// Runs the transaction's operations through the protocol (aborting it on
-  /// a no-wait conflict) and returns the page-access job modelling the
+  /// Runs the slot's transaction through the protocol (aborting it on a
+  /// no-wait conflict) and returns the page-access job modelling the
   /// attempt's work; Commit/Abort accounting happens at job completion.
-  ossim::Job ExecuteCc(PendingTxn& txn);
+  ossim::Job ExecuteCc(WorkerSlot& slot);
+  WorkerSlot& SlotOf(ossim::ThreadId worker);
 
   /// Page range of `rows` rows around `offset` within the partition's slice
   /// of a base column.
@@ -239,8 +253,15 @@ class TxnEngine {
   std::deque<ossim::ThreadId> idle_workers_;
   /// Latched transactions waiting for a free worker.
   std::deque<PendingTxn> runnable_;
-  /// In-flight bookkeeping, keyed by worker.
-  std::unordered_map<ossim::ThreadId, PendingTxn> running_;
+  /// In-flight bookkeeping, one slot per worker (workers_ holds
+  /// consecutive thread ids, so a worker's slot is its offset from the
+  /// first).
+  std::vector<WorkerSlot> slots_;
+  int64_t in_flight_ = 0;
+  /// Reused scratch of ExecuteCc: the keys a transaction touched and the
+  /// CC-buffer pages they map onto.
+  std::vector<uint64_t> touched_;
+  std::vector<int64_t> pages_;
 
   int64_t completed_ = 0;
   int64_t latch_waits_ = 0;

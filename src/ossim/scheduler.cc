@@ -34,6 +34,7 @@ Scheduler::Scheduler(const numasim::Topology* topology,
                                             simcore::Clock::kSecondsPerTick)) {
   run_queue_.resize(static_cast<size_t>(topology_->total_cores()));
   running_.assign(static_cast<size_t>(topology_->total_cores()), kInvalidThread);
+  node_load_.assign(static_cast<size_t>(topology_->num_nodes()), 0);
 }
 
 ThreadId Scheduler::SpawnWorker(std::optional<CpuMask> pin,
@@ -175,35 +176,46 @@ int Scheduler::CoreLoad(numasim::CoreId core) const {
 
 numasim::CoreId Scheduler::PickCoreForPlacement(const Thread& thread) {
   const CpuMask mask = EffectiveMask(thread);
-  const std::vector<numasim::CoreId> cores = mask.ToCores();
-  ELASTIC_CHECK(!cores.empty(), "no core available for placement");
+  ELASTIC_CHECK(!mask.Empty(), "no core available for placement");
 
   // Minimum per-core load.
   int min_load = INT32_MAX;
-  for (numasim::CoreId core : cores) min_load = std::min(min_load, CoreLoad(core));
+  mask.ForEach([&](numasim::CoreId core) {
+    min_load = std::min(min_load, CoreLoad(core));
+  });
 
   // Among min-load cores prefer the least-loaded node (the OS spreads for
   // balance, scattering threads across sockets).
-  std::vector<int64_t> node_load(static_cast<size_t>(topology_->num_nodes()), 0);
-  for (numasim::CoreId core : allowed_.ToCores()) {
-    node_load[topology_->NodeOfCore(core)] += CoreLoad(core);
-  }
-  std::vector<numasim::CoreId> candidates;
-  for (numasim::CoreId core : cores) {
-    if (CoreLoad(core) == min_load) candidates.push_back(core);
-  }
+  std::fill(node_load_.begin(), node_load_.end(), 0);
+  allowed_.ForEach([&](numasim::CoreId core) {
+    node_load_[static_cast<size_t>(topology_->NodeOfCore(core))] +=
+        CoreLoad(core);
+  });
+  const auto node_load_of = [&](numasim::CoreId core) {
+    return node_load_[static_cast<size_t>(topology_->NodeOfCore(core))];
+  };
   int64_t best_node_load = INT64_MAX;
-  for (numasim::CoreId core : candidates) {
-    best_node_load = std::min(best_node_load, node_load[topology_->NodeOfCore(core)]);
-  }
-  std::vector<numasim::CoreId> finalists;
-  for (numasim::CoreId core : candidates) {
-    if (node_load[topology_->NodeOfCore(core)] == best_node_load) {
-      finalists.push_back(core);
+  size_t finalists = 0;
+  mask.ForEach([&](numasim::CoreId core) {
+    if (CoreLoad(core) != min_load) return;
+    const int64_t load = node_load_of(core);
+    if (load < best_node_load) {
+      best_node_load = load;
+      finalists = 0;
     }
-  }
-  const numasim::CoreId chosen =
-      finalists[static_cast<size_t>(placement_rr_++) % finalists.size()];
+    if (load == best_node_load) finalists++;
+  });
+
+  // Round-robin over the finalists in ascending core order.
+  size_t pick = static_cast<size_t>(placement_rr_++) % finalists;
+  numasim::CoreId chosen = numasim::kInvalidCore;
+  mask.ForEach([&](numasim::CoreId core) {
+    if (chosen != numasim::kInvalidCore || CoreLoad(core) != min_load ||
+        node_load_of(core) != best_node_load) {
+      return;
+    }
+    if (pick-- == 0) chosen = core;
+  });
   return chosen;
 }
 
@@ -230,13 +242,12 @@ void Scheduler::RemoveFromCore(ThreadId id) {
 ThreadId Scheduler::TrySteal(numasim::CoreId thief) {
   numasim::CoreId richest = numasim::kInvalidCore;
   size_t richest_depth = 0;
-  for (numasim::CoreId core : allowed_.ToCores()) {
-    if (core == thief) continue;
-    if (run_queue_[core].size() > richest_depth) {
+  allowed_.ForEach([&](numasim::CoreId core) {
+    if (core != thief && run_queue_[core].size() > richest_depth) {
       richest_depth = run_queue_[core].size();
       richest = core;
     }
-  }
+  });
   if (richest == numasim::kInvalidCore || richest_depth == 0) return kInvalidThread;
   // Steal the coldest (back) thread whose mask permits the thief core.
   auto& queue = run_queue_[richest];
@@ -258,17 +269,16 @@ ThreadId Scheduler::TrySteal(numasim::CoreId thief) {
 
 void Scheduler::LoadBalance() {
   counters_->load_balance_rounds++;
-  const std::vector<numasim::CoreId> cores = allowed_.ToCores();
-  if (cores.size() < 2) return;
+  if (allowed_.Count() < 2) return;
   // Repeatedly move one queued thread from the busiest to the idlest core
   // until the imbalance collapses below two.
   for (int iteration = 0; iteration < topology_->total_cores(); ++iteration) {
-    numasim::CoreId busiest = cores[0];
-    numasim::CoreId idlest = cores[0];
-    for (numasim::CoreId core : cores) {
+    numasim::CoreId busiest = allowed_.First();
+    numasim::CoreId idlest = busiest;
+    allowed_.ForEach([&](numasim::CoreId core) {
       if (CoreLoad(core) > CoreLoad(busiest)) busiest = core;
       if (CoreLoad(core) < CoreLoad(idlest)) idlest = core;
-    }
+    });
     if (CoreLoad(busiest) - CoreLoad(idlest) < 2) break;
     if (run_queue_[busiest].empty()) break;
     // Migrate the coldest queued thread allowed on the idle core.
@@ -351,8 +361,10 @@ void Scheduler::Tick() {
     LoadBalance();
   }
 
-  std::vector<ThreadId> completed_jobs;
-  for (numasim::CoreId core : allowed_.ToCores()) {
+  // The cores of the tick are the mask as it stood when the tick began,
+  // even if a completion callback installs a new one mid-tick.
+  const CpuMask cores = allowed_;
+  cores.ForEach([&](numasim::CoreId core) {
     // A core's quantum is consumed by as many threads as fit: when a job
     // finishes mid-tick the next runnable thread is dispatched immediately,
     // like a real OS (no idle tail on a busy core).
@@ -372,9 +384,9 @@ void Scheduler::Tick() {
       const ThreadId current = running_[core];
       if (current == kInvalidThread) break;  // nothing runnable anywhere
 
-      completed_jobs.clear();
+      completed_jobs_.clear();
       const int64_t used = RunThreadOnCore(current, core, remaining,
-                                           &completed_jobs);
+                                           &completed_jobs_);
       remaining -= std::max<int64_t>(used, 1);
 
       Thread& thread = threads_[current];
@@ -401,14 +413,14 @@ void Scheduler::Tick() {
       // Completion callbacks run after the thread's slice so they can safely
       // assign new jobs (possibly to this very thread, waking it again).
       // One-shot threads get a single on_exit instead of per-job callbacks.
-      for (ThreadId done : completed_jobs) {
+      for (ThreadId done : completed_jobs_) {
         Thread& owner = threads_[done];
         if (owner.one_shot) continue;
         if (owner.on_job_done) owner.on_job_done(done);
       }
       if (exited && thread.on_exit) thread.on_exit(current);
     }
-  }
+  });
 }
 
 }  // namespace elastic::ossim

@@ -139,6 +139,10 @@ class Scheduler {
   std::vector<ThreadId> running_;                // per core, current thread
   int64_t runnable_count_ = 0;
   int placement_rr_ = 0;  // round-robin tie breaker
+  /// Scratch of the per-call hot paths, sized once: per-node load of
+  /// PickCoreForPlacement and the finished jobs of one Tick dispatch.
+  std::vector<int64_t> node_load_;
+  std::vector<ThreadId> completed_jobs_;
 };
 
 }  // namespace elastic::ossim

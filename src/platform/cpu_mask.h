@@ -68,7 +68,11 @@ class CpuMask {
 
   int Count() const {
     int count = 0;
-    for (uint64_t word : words_) count += __builtin_popcountll(word);
+    // Masks are sparse over the 16 words: skipping zero words spares the
+    // out-of-line popcount calls of builds without a hardware popcnt.
+    for (uint64_t word : words_) {
+      if (word != 0) count += __builtin_popcountll(word);
+    }
     return count;
   }
   bool Empty() const {

@@ -42,9 +42,9 @@ TEST(TxnEngineTest, RunsBothProfilesToCompletion) {
   Stack stack = MakeStack();
   int completions = 0;
   stack.engine->Submit(Request(0, TxnType::kNewOrder, 0),
-                       [&](bool) { completions++; });
+                       [&](bool, cc::CcTxn&) { completions++; });
   stack.engine->Submit(Request(1, TxnType::kPayment, 1),
-                       [&](bool) { completions++; });
+                       [&](bool, cc::CcTxn&) { completions++; });
   EXPECT_EQ(stack.engine->active_txns(), 2);
   stack.machine->RunUntilIdle(100'000);
   EXPECT_EQ(completions, 2);
@@ -58,7 +58,9 @@ TEST(TxnEngineTest, PartitionLatchSerializesSamePartition) {
   std::vector<int> order;
   for (int i = 0; i < 3; ++i) {
     stack.engine->Submit(Request(i, TxnType::kPayment, /*partition=*/2),
-                         [&order, i](bool) { order.push_back(i); });
+                         [&order, i](bool, cc::CcTxn&) {
+                           order.push_back(i);
+                         });
   }
   // Two of the three queued behind the latch.
   EXPECT_EQ(stack.engine->latch_waits(), 2);
@@ -72,7 +74,7 @@ TEST(TxnEngineTest, DifferentPartitionsDoNotLatchWait) {
   int completions = 0;
   for (int i = 0; i < 8; ++i) {
     stack.engine->Submit(Request(i, TxnType::kPayment, /*partition=*/i),
-                         [&](bool) { completions++; });
+                         [&](bool, cc::CcTxn&) { completions++; });
   }
   EXPECT_EQ(stack.engine->latch_waits(), 0);
   stack.machine->RunUntilIdle(100'000);
@@ -86,7 +88,8 @@ TEST(TxnEngineTest, SamePartitionStreamTakesLongerThanSpreadStream) {
     Stack stack = MakeStack();
     for (int i = 0; i < 16; ++i) {
       stack.engine->Submit(
-          Request(i, TxnType::kNewOrder, spread ? i : 3), [](bool) {});
+          Request(i, TxnType::kNewOrder, spread ? i : 3),
+          [](bool, cc::CcTxn&) {});
     }
     return stack.machine->RunUntilIdle(1'000'000);
   };
@@ -278,6 +281,130 @@ TEST(TxnEngineTest, DefaultPlacementLeavesFirstTouchHoming) {
   for (const int64_t pages : resident) total += pages;
   EXPECT_GT(total, 0);
 }
+
+TEST(TxnEngineTest, TxnAfterPreAbortOnReusedContextStartsWithEmptySets) {
+  // One worker, so both transactions run on the same worker's context.
+  TxnEngineOptions options;
+  options.pool_size = 1;
+  options.cc.protocol = cc::ProtocolKind::kTwoPhaseLock;
+  options.cc.num_records = 1024;
+  options.cc.record_history = true;
+  ossim::Machine machine(ossim::MachineOptions{});
+  TxnEngine engine(&machine, /*catalog=*/nullptr, options);
+
+  // A writer outside the engine holds key 5: the first transaction reads
+  // key 7, then hits the lock on key 5 and is rolled back at dispatch.
+  engine.cc_table().record(5).rwlock.store(cc::kRwWriterBit);
+  cc::CcTxn conflicted;
+  conflicted.ops = {{7, /*write=*/false}, {5, /*write=*/false}};
+  std::vector<bool> outcomes;
+  TxnRequest first;
+  first.id = 1;
+  const auto record = [&](bool committed, cc::CcTxn&) {
+    outcomes.push_back(committed);
+  };
+  engine.Submit(first, conflicted, record);
+  EXPECT_EQ(engine.cc_lock_conflicts(), 1);
+  machine.RunUntilIdle(100'000);
+  engine.cc_table().record(5).rwlock.store(0);
+
+  cc::CcTxn update;
+  update.ops = {{9, /*write=*/true}};
+  TxnRequest second;
+  second.id = 2;
+  engine.Submit(second, update, record);
+  machine.RunUntilIdle(100'000);
+
+  EXPECT_EQ(outcomes, (std::vector<bool>{false, true}));
+  // The commit footprint holds the second transaction's accesses only:
+  // nothing of the aborted attempt's read of key 7 leaked into it.
+  ASSERT_EQ(engine.cc_history().size(), 1u);
+  const cc::CommittedTxn& txn = engine.cc_history()[0];
+  EXPECT_EQ(txn.txn_id, 2u);
+  ASSERT_EQ(txn.reads.size(), 1u);
+  EXPECT_EQ(txn.reads[0].key, 9u);
+  EXPECT_EQ(txn.reads[0].version, 0u);
+  ASSERT_EQ(txn.writes.size(), 1u);
+  EXPECT_EQ(txn.writes[0].key, 9u);
+  EXPECT_EQ(txn.writes[0].version, 1u);
+  // Every lock was released with the commit.
+  for (const uint64_t key : {5u, 7u, 9u}) {
+    EXPECT_EQ(engine.cc_table().record(key).rwlock.load(), 0u) << key;
+  }
+}
+
+/// FNV-1a over a history: transaction ids, then every read and write
+/// (key, version) in recorded order.
+uint64_t HistoryDigest(const std::vector<cc::CommittedTxn>& history) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xff;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const cc::CommittedTxn& txn : history) {
+    mix(txn.txn_id);
+    mix(txn.reads.size());
+    for (const cc::Access& read : txn.reads) {
+      mix(read.key);
+      mix(read.version);
+    }
+    mix(txn.writes.size());
+    for (const cc::Access& write : txn.writes) {
+      mix(write.key);
+      mix(write.version);
+    }
+  }
+  return hash;
+}
+
+class TxnEngineHistoryTest
+    : public ::testing::TestWithParam<std::tuple<cc::ProtocolKind, uint64_t>> {
+};
+
+TEST_P(TxnEngineHistoryTest, SeededRunReproducesGoldenCommitFootprints) {
+  // A hot YCSB run: aborts and retries reuse every worker's context many
+  // times over. The digests were captured from the engine that built a
+  // fresh context per transaction.
+  TxnEngineOptions options;
+  options.cc.protocol = std::get<0>(GetParam());
+  options.cc.num_records = 64;
+  options.cc.record_history = true;
+  options.cpu_cycles_per_page = 5'000'000;  // long, overlapping attempts
+  Stack stack = MakeStack(options);
+
+  OltpWorkload workload;
+  workload.kind = cc::WorkloadKind::kYcsb;
+  workload.ycsb.num_records = 64;
+  workload.ycsb.theta = 0.9;
+  workload.total_txns = 96;
+  workload.arrival_interval_ticks = 1;
+  OltpClient client(stack.machine.get(), stack.engine.get(), workload,
+                    /*seed=*/23);
+  client.Start();
+  int64_t ticks = 0;
+  while (!client.AllDone() && ticks < 5'000'000) {
+    stack.machine->Step();
+    ticks++;
+  }
+  ASSERT_TRUE(client.AllDone());
+  EXPECT_GT(stack.engine->cc_aborts(), 0);
+  ASSERT_EQ(stack.engine->cc_history().size(),
+            static_cast<size_t>(workload.total_txns));
+  EXPECT_TRUE(cc::CheckSerializable(stack.engine->cc_history()));
+  EXPECT_EQ(HistoryDigest(stack.engine->cc_history()),
+            std::get<1>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, TxnEngineHistoryTest,
+    ::testing::Values(
+        std::make_tuple(cc::ProtocolKind::kPartitionLock,
+                        0x588a01283eefd741ULL),
+        std::make_tuple(cc::ProtocolKind::kTwoPhaseLock,
+                        0x6f19486a4ce6fcd5ULL),
+        std::make_tuple(cc::ProtocolKind::kTicToc, 0xae02842aedab49a5ULL)));
 
 }  // namespace
 }  // namespace elastic::oltp

@@ -304,5 +304,66 @@ TEST_F(SchedulerTest, TimesliceRotatesThreadsOnSharedCore) {
   EXPECT_GT(machine_->scheduler().thread(1).pages_processed, 0);
 }
 
+/// Cores AssignJob picks for idle workers on a 2-node x 4-core machine with
+/// two cpusets, a pinned worker and a cpuset rewrite halfway through.
+std::vector<numasim::CoreId> PlacementSequence() {
+  MachineOptions options;
+  options.config.num_nodes = 2;
+  options.config.cores_per_node = 4;
+  Machine machine(options);
+  Scheduler& scheduler = machine.scheduler();
+  const CpusetId a = scheduler.CreateCpuset(CpuMask::Of({0, 1, 4, 5}));
+  const CpusetId b = scheduler.CreateCpuset(CpuMask::Of({2, 3, 6, 7}));
+  std::vector<ThreadId> workers;
+  for (int i = 0; i < 4; ++i) {
+    workers.push_back(scheduler.SpawnWorker(std::nullopt, nullptr, a));
+  }
+  for (int i = 0; i < 3; ++i) {
+    workers.push_back(scheduler.SpawnWorker(std::nullopt, nullptr, b));
+  }
+  workers.push_back(scheduler.SpawnWorker(CpuMask::Of({5, 6}), nullptr));
+  const numasim::BufferId buffer =
+      machine.page_table().CreateBuffer(64, "placement");
+
+  std::vector<numasim::CoreId> chosen;
+  for (int round = 0; round < 40; ++round) {
+    if (round == 20) scheduler.SetCpusetMask(a, CpuMask::Of({0, 4, 6}));
+    for (size_t w = 0; w < workers.size(); ++w) {
+      // A varying subset of workers gets a job of varying length each round,
+      // so per-core and per-node loads differ from one placement to the next.
+      if ((round + static_cast<int>(w)) % 3 == 0) continue;
+      const ThreadId id = workers[w];
+      const bool idle = scheduler.thread(id).state == ThreadState::kIdle;
+      Job job;
+      PageRange range;
+      range.buffer = buffer;
+      range.begin = 0;
+      range.end = 1 + (round * 7 + static_cast<int>(w) * 5) % 12;
+      job.ranges.push_back(range);
+      job.cpu_cycles_per_page = 50'000;
+      scheduler.AssignJob(id, std::move(job));
+      if (idle) chosen.push_back(scheduler.thread(id).core);
+    }
+    machine.Step();
+  }
+  return chosen;
+}
+
+TEST(SchedulerPlacementTest, PlacementSequenceMatchesGolden) {
+  // Captured from the list-materializing placement code this scheduler
+  // replaced; locks the min-load -> least-loaded-node -> round-robin order.
+  const std::vector<numasim::CoreId> kGolden = {
+      0, 5, 6, 3, 5, 1, 4, 5, 2, 3, 6, 5, 0, 4, 2, 3, 0, 5, 6, 3, 5, 1, 4, 5,
+      2, 6, 5, 5, 0, 4, 2, 6, 0, 5, 6, 3, 5, 1, 4, 5, 2, 7, 6, 5, 0, 4, 2, 7,
+      0, 5, 6, 3, 5, 1, 4, 5, 2, 3, 6, 5, 0, 4, 2, 3, 0, 5, 6, 3, 5, 1, 4, 5,
+      2, 6, 5, 5, 0, 4, 2, 6, 0, 5, 6, 3, 5, 1, 4, 5, 2, 7, 6, 5, 0, 4, 2, 7,
+      0, 5, 6, 3, 5, 1, 4, 5, 2, 3, 6, 6, 0, 4, 2, 7, 4, 0, 6, 3, 5, 0, 4, 6,
+      2, 7, 5, 0, 4, 6, 2, 7, 6, 0, 3, 7, 5, 4, 0, 6, 2, 7, 5, 4, 0, 6, 2, 7,
+      0, 6, 7, 3, 5, 6, 0, 4, 2, 7, 5, 6, 0, 4, 2, 7, 4, 0, 6, 3, 5, 0, 4, 6,
+      2, 7, 5, 0, 4, 6, 2, 7, 6, 0, 3, 7, 5, 4, 0, 6, 2, 7, 5, 4, 0, 6, 2, 7,
+      0, 6, 7, 3, 5, 6, 0, 4, 2, 7, 5, 6, 0, 4, 2, 7, 4, 0, 6, 3, 5};
+  EXPECT_EQ(PlacementSequence(), kGolden);
+}
+
 }  // namespace
 }  // namespace elastic::ossim
