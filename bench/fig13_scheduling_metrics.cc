@@ -29,7 +29,7 @@ void Main() {
       Point point;
       point.throughput = run.throughput_qps;
       point.cpu_load = run.window.CpuLoadPercent(
-          ossim::CpuMask::FirstN(16), static_cast<int64_t>(2.8e6));
+          platform::CpuMask::FirstN(16), static_cast<int64_t>(2.8e6));
       point.tasks_k = static_cast<double>(run.window.tasks_spawned) / 1e3;
       point.stolen_h = static_cast<double>(run.window.stolen_tasks) / 1e2;
       series[policy].push_back(point);

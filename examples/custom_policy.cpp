@@ -39,7 +39,7 @@ class LeastMissesMode : public core::AllocationMode {
     }
   }
 
-  numasim::CoreId NextToAllocate(const ossim::CpuMask& current) override {
+  numasim::CoreId NextToAllocate(const platform::CpuMask& current) override {
     numasim::CoreId best = numasim::kInvalidCore;
     int64_t best_misses = 0;
     for (int node = 0; node < topology_->num_nodes(); ++node) {
@@ -55,7 +55,7 @@ class LeastMissesMode : public core::AllocationMode {
     return best;
   }
 
-  numasim::CoreId NextToRelease(const ossim::CpuMask& current) override {
+  numasim::CoreId NextToRelease(const platform::CpuMask& current) override {
     if (current.Count() <= 1) return numasim::kInvalidCore;
     numasim::CoreId victim = numasim::kInvalidCore;
     int64_t victim_misses = -1;

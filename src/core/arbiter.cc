@@ -29,6 +29,29 @@ constexpr double kShedHoldRatio = (kSloBoostRatio + kSloShedRatio) / 2.0;
 /// tenants would trade the same core back and forth every round.
 constexpr double kSloTieBreakMargin = 1.25;
 
+/// kContentionAware thresholds. At or above the high abort fraction a shrink
+/// probe is allowed: the marginal core is presumed to be burning in conflict
+/// churn. At or below the low one the mechanism's grow demand passes
+/// through: conflicts are rare, parallelism still buys commits.
+constexpr double kContentionHighAbort = 0.5;
+constexpr double kContentionLowAbort = 0.2;
+static_assert(0.0 <= kContentionLowAbort &&
+                  kContentionLowAbort <= kContentionHighAbort &&
+                  kContentionHighAbort <= 1.0,
+              "contention abort thresholds out of order");
+/// Relative goodput drop below which a controller move is judged harmless
+/// (noise band of the accept/revert decision).
+constexpr double kContentionGoodputTolerance = 0.05;
+
+/// Install-failure backoff: the first retry waits this many rounds, each
+/// further failure doubles the wait, capped at kInstallMaxBackoffRounds
+/// (plus up to kInstallRetryBaseRounds of seeded jitter).
+constexpr int64_t kInstallRetryBaseRounds = 1;
+constexpr int64_t kInstallMaxBackoffRounds = 8;
+static_assert(1 <= kInstallRetryBaseRounds &&
+                  kInstallRetryBaseRounds <= kInstallMaxBackoffRounds,
+              "install backoff bounds out of order");
+
 const char* ArbitrationPolicyName(ArbitrationPolicy policy) {
   switch (policy) {
     case ArbitrationPolicy::kFairShare: return "fair_share";
@@ -40,24 +63,30 @@ const char* ArbitrationPolicyName(ArbitrationPolicy policy) {
   return "?";
 }
 
+bool ParseArbitrationPolicy(const std::string& name,
+                            ArbitrationPolicy* policy) {
+  // Every policy answers to its full name and to a short alias.
+  static constexpr std::pair<const char*, ArbitrationPolicy> kAliases[] = {
+      {"fair", ArbitrationPolicy::kFairShare},
+      {"priority", ArbitrationPolicy::kPriorityWeighted},
+      {"demand", ArbitrationPolicy::kDemandProportional},
+      {"slo", ArbitrationPolicy::kSloAware},
+      {"contention", ArbitrationPolicy::kContentionAware},
+  };
+  for (const auto& [alias, candidate] : kAliases) {
+    if (name == alias || name == ArbitrationPolicyName(candidate)) {
+      *policy = candidate;
+      return true;
+    }
+  }
+  return false;
+}
+
 ArbitrationPolicy ArbitrationPolicyFromName(const std::string& name) {
-  if (name == "fair_share" || name == "fair") {
-    return ArbitrationPolicy::kFairShare;
-  }
-  if (name == "priority_weighted" || name == "priority") {
-    return ArbitrationPolicy::kPriorityWeighted;
-  }
-  if (name == "demand_proportional" || name == "demand") {
-    return ArbitrationPolicy::kDemandProportional;
-  }
-  if (name == "slo_aware" || name == "slo") {
-    return ArbitrationPolicy::kSloAware;
-  }
-  if (name == "contention_aware" || name == "contention") {
-    return ArbitrationPolicy::kContentionAware;
-  }
-  ELASTIC_CHECK(false, "unknown arbitration policy name");
-  return ArbitrationPolicy::kFairShare;
+  ArbitrationPolicy policy = ArbitrationPolicy::kFairShare;
+  const bool known = ParseArbitrationPolicy(name, &policy);
+  ELASTIC_CHECK(known, "unknown arbitration policy name");
+  return policy;
 }
 
 CoreArbiter::CoreArbiter(platform::Platform* platform,
@@ -68,21 +97,11 @@ CoreArbiter::CoreArbiter(platform::Platform* platform,
       jitter_rng_(config.fault_seed) {
   ELASTIC_CHECK(config_.monitor_period_ticks >= 1, "monitoring period >= 1");
   ELASTIC_CHECK(config_.stale_ttl_rounds >= 0, "stale TTL >= 0");
-  ELASTIC_CHECK(config_.install_retry_base_rounds >= 1 &&
-                    config_.install_max_backoff_rounds >=
-                        config_.install_retry_base_rounds,
-                "install backoff bounds out of order");
   ELASTIC_CHECK(config_.quarantine_after_failures >= 1 &&
                     config_.quarantine_probe_rounds >= 1,
                 "quarantine thresholds >= 1");
-  ELASTIC_CHECK(config_.contention_low_abort >= 0.0 &&
-                    config_.contention_low_abort <=
-                        config_.contention_high_abort &&
-                    config_.contention_high_abort <= 1.0,
-                "contention abort thresholds out of order");
   ELASTIC_CHECK(config_.contention_settle_rounds >= 0 &&
-                    config_.contention_backoff_evals >= 0 &&
-                    config_.contention_goodput_tolerance >= 0.0,
+                    config_.contention_backoff_evals >= 0,
                 "contention controller knobs must be non-negative");
 }
 
@@ -96,10 +115,9 @@ void CoreArbiter::SetDomain(const platform::CpuMask& domain) {
 }
 
 bool CoreArbiter::TryResizeDomain(const platform::CpuMask& new_domain) {
-  if (new_domain.Empty()) return false;
-  platform::CpuMask owned;
-  for (const Tenant& tenant : tenants_) owned = owned.Union(tenant.mask);
-  if (!owned.IsSubsetOf(new_domain)) return false;
+  if (new_domain.Empty() || !OwnedCores().IsSubsetOf(new_domain)) {
+    return false;
+  }
   domain_ = new_domain;
   return true;
 }
@@ -139,10 +157,14 @@ int CoreArbiter::nalloc(int tenant) const {
   return tenants_[static_cast<size_t>(tenant)].mask.Count();
 }
 
-platform::CpuMask CoreArbiter::FreePool() const {
+platform::CpuMask CoreArbiter::OwnedCores() const {
   platform::CpuMask owned;
   for (const Tenant& tenant : tenants_) owned = owned.Union(tenant.mask);
-  return domain_.Difference(owned);
+  return owned;
+}
+
+platform::CpuMask CoreArbiter::FreePool() const {
+  return domain_.Difference(OwnedCores());
 }
 
 numasim::CoreId CoreArbiter::PickCoreFor(const Tenant& tenant,
@@ -205,6 +227,7 @@ void CoreArbiter::Install() {
   ELASTIC_CHECK(initial_total <= domain_.Count(),
                 "initial cores of all tenants exceed the domain");
   installed_ = true;
+  signals_.resize(tenants_.size());
 
   // Hand out the initial disjoint masks; PickCoreFor naturally spreads
   // fresh tenants across sockets (a new tenant prefers the emptiest node).
@@ -227,35 +250,34 @@ void CoreArbiter::Install() {
   }
 }
 
-std::vector<TelemetrySnapshot> CoreArbiter::CollectTelemetry(
-    simcore::Tick now) const {
-  std::vector<TelemetrySnapshot> snapshots(
-      static_cast<size_t>(num_tenants()));
+void CoreArbiter::CollectTelemetry(simcore::Tick now) {
   // Static policies never pull telemetry — unless the island-affinity term
-  // is armed, which needs the kMemory signal regardless of policy.
+  // is armed, which needs the kMemory signal regardless of policy. The
+  // snapshots then stay default-constructed (nothing valid) for good.
   if (config_.policy != ArbitrationPolicy::kSloAware &&
       config_.policy != ArbitrationPolicy::kContentionAware &&
       config_.numa_affinity_weight <= 0.0) {
-    return snapshots;
+    return;
   }
-  for (int i = 0; i < num_tenants(); ++i) {
-    const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    if (!tenant.active || !tenant.config.telemetry) continue;
-    TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    const Tenant& tenant = tenants_[i];
+    TelemetrySnapshot& snap = signals_[i].telemetry;
+    if (!tenant.active || !tenant.config.telemetry) {
+      snap = TelemetrySnapshot();
+      continue;
+    }
     snap = tenant.config.telemetry(now);
     snap.valid_mask &= tenant.config.telemetry_caps;
     snap.Sanitize();
   }
-  return snapshots;
 }
 
-void CoreArbiter::UpdateMemoryResidency(
-    const std::vector<TelemetrySnapshot>& snapshots) {
+void CoreArbiter::UpdateMemoryResidency() {
   if (config_.numa_affinity_weight <= 0.0) return;
   const int num_nodes = platform_->topology().num_nodes();
-  for (int i = 0; i < num_tenants(); ++i) {
-    Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    const TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& tenant = tenants_[i];
+    const TelemetrySnapshot& snap = signals_[i].telemetry;
     if (!tenant.active || !snap.has(TelemetrySnapshot::kMemory)) continue;
     // A residency vector that does not match the machine is garbage — keep
     // the last good reading rather than steering on it.
@@ -288,297 +310,128 @@ double CoreArbiter::MemAffinity(const Tenant& tenant,
   return tenant.mem_fraction[static_cast<size_t>(node)];
 }
 
-std::vector<double> CoreArbiter::ShedRates(
-    const std::vector<TelemetrySnapshot>& snapshots) const {
-  std::vector<double> rates(static_cast<size_t>(num_tenants()), 0.0);
-  if (config_.policy != ArbitrationPolicy::kSloAware) return rates;
-  for (int i = 0; i < num_tenants(); ++i) {
-    const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    const TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
-    if (tenant.active && snap.has(TelemetrySnapshot::kShed)) {
-      rates[static_cast<size_t>(i)] = snap.shed_rate;
-    }
-  }
-  return rates;
+double CoreArbiter::SloRatio(const Tenant& tenant,
+                             const TelemetrySnapshot& snap, bool shedding,
+                             int held) const {
+  if (!snap.has(TelemetrySnapshot::kTail)) return -1.0;
+  const double p99 = snap.p99_s;
+  const double ratio =
+      p99 < 0.0 ? -1.0 : p99 / std::max(tenant.config.slo_p99_s, 1e-12);
+  // Shed feedback: rejected arrivals never reach the completed-latency
+  // percentiles, so a tenant actively shedding is under more pressure
+  // than its p99 admits — unless it already holds its cap, where extra
+  // cores are unobtainable and reading the shedding as a violation would
+  // only burn preemptions on demands that cannot be granted.
+  if (!shedding) return ratio;
+  return held >= Cap(tenant) ? kShedHoldRatio
+                             : std::max(ratio, kShedViolationRatio);
 }
 
-std::vector<double> CoreArbiter::SloRatios(
-    const std::vector<TelemetrySnapshot>& snapshots,
-    const std::vector<double>& shed_rates) const {
-  std::vector<double> ratios(static_cast<size_t>(num_tenants()), -1.0);
-  if (config_.policy != ArbitrationPolicy::kSloAware) return ratios;
-  const double total = static_cast<double>(domain_.Count());
-  for (int i = 0; i < num_tenants(); ++i) {
-    const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    const ArbiterTenantConfig& config = tenant.config;
-    const TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
-    if (!tenant.active) continue;
-    if (config.slo_p99_s < 0.0 || !snap.has(TelemetrySnapshot::kTail)) {
-      continue;
-    }
-    const double p99 = snap.p99_s;
-    double ratio = p99 < 0.0 ? -1.0 : p99 / std::max(config.slo_p99_s, 1e-12);
-    // Shed feedback: rejected arrivals never reach the completed-latency
-    // percentiles, so a tenant actively shedding is under more pressure
-    // than its p99 admits — unless it already holds its cap, where extra
-    // cores are unobtainable and reading the shedding as a violation would
-    // only burn preemptions on demands that cannot be granted.
-    const double shed_rate = shed_rates[static_cast<size_t>(i)];
-    if (shed_rate > 0.0) {
-      const double cap = config.mechanism.max_cores > 0
-                             ? config.mechanism.max_cores
-                             : total;
-      if (tenant.mask.Count() >= cap) {
-        ratio = kShedHoldRatio;
+void CoreArbiter::UpdateContentionController(
+    Tenant& tenant, const ElasticMechanism::Decision& decision,
+    const TelemetrySnapshot& snap, int held) {
+  const int floor = Floor(tenant);
+  const int cap = Cap(tenant);
+  const auto clamp = [floor, cap](int cores) {
+    return std::min(cap, std::max(floor, cores));
+  };
+  if (tenant.hc_target == 0) {
+    // First round with probes attached: adopt the current holding as the
+    // operating point so the controller starts from reality, not from 0.
+    tenant.hc_target = clamp(held);
+  }
+  // No attempt in the window (or a probe dropout): hold.
+  if (!snap.has(TelemetrySnapshot::kAbort) || snap.abort_fraction < 0.0) {
+    return;
+  }
+  const double fraction = snap.abort_fraction;
+  if (tenant.hc_settle > 0) {
+    // The last move has not had a full probe window to show up in the
+    // goodput signal yet; measuring now would attribute the old
+    // allocation's goodput to the new one.
+    tenant.hc_settle--;
+    return;
+  }
+  if (!snap.has(TelemetrySnapshot::kGoodput)) return;  // dropout: hold
+  const double goodput = snap.goodput;
+  // Evaluate the previous move: if the allocation actually changed and
+  // goodput dropped beyond tolerance, revert to the old operating point
+  // and block that direction for a while — this is what makes the climber
+  // settle at the goodput knee instead of oscillating across it.
+  if (tenant.hc_last_goodput >= 0.0 && held != tenant.hc_last_cores) {
+    const bool regressed =
+        goodput < tenant.hc_last_goodput * (1.0 - kContentionGoodputTolerance);
+    if (regressed) {
+      if (held > tenant.hc_last_cores) {
+        tenant.hc_grow_block = config_.contention_backoff_evals;
       } else {
-        ratio = std::max(ratio, kShedViolationRatio);
+        tenant.hc_shrink_block = config_.contention_backoff_evals;
       }
+      tenant.hc_target = clamp(tenant.hc_last_cores);
+      tenant.hc_last_goodput = goodput;
+      tenant.hc_last_cores = held;
+      tenant.hc_settle = config_.contention_settle_rounds;
+      return;
     }
-    if (ratio < 0.0) continue;  // no signal from either probe yet
-    ratios[static_cast<size_t>(i)] = ratio;
   }
-  return ratios;
+  if (tenant.hc_grow_block > 0) tenant.hc_grow_block--;
+  if (tenant.hc_shrink_block > 0) tenant.hc_shrink_block--;
+  int target = held;
+  if (fraction >= kContentionHighAbort && held > floor &&
+      tenant.hc_shrink_block == 0) {
+    // High abort fraction: most added work is burning in aborts, so probe
+    // one core down — the freed core goes to a tenant that can use it.
+    target = held - 1;
+  } else if (fraction <= kContentionLowAbort && held < cap &&
+             tenant.hc_grow_block == 0 && decision.desired > decision.current) {
+    // Low contention and the mechanism wants more cores: let it grow.
+    target = held + 1;
+  }
+  tenant.hc_target = clamp(target);
+  tenant.hc_last_goodput = goodput;
+  tenant.hc_last_cores = held;
+  tenant.hc_settle = config_.contention_settle_rounds;
 }
 
-std::vector<double> CoreArbiter::ContentionFractions(
-    const std::vector<TelemetrySnapshot>& snapshots) const {
-  std::vector<double> fractions(static_cast<size_t>(num_tenants()), -1.0);
-  if (config_.policy != ArbitrationPolicy::kContentionAware) return fractions;
-  for (int i = 0; i < num_tenants(); ++i) {
-    const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    const TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
-    if (tenant.active && HasContentionCaps(tenant.config) &&
-        snap.has(TelemetrySnapshot::kAbort)) {
-      fractions[static_cast<size_t>(i)] = snap.abort_fraction;
-    }
-  }
-  return fractions;
-}
-
-void CoreArbiter::UpdateContentionControllers(
-    const std::vector<ElasticMechanism::Decision>& decisions,
-    const std::vector<double>& abort_fractions,
-    const std::vector<TelemetrySnapshot>& snapshots) {
-  if (config_.policy != ArbitrationPolicy::kContentionAware) return;
-  const int total = domain_.Count();
-  for (int i = 0; i < num_tenants(); ++i) {
-    Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    if (!tenant.active || !HasContentionCaps(tenant.config)) continue;
-    const int held = tenant.mask.Count();
-    const int floor = std::max(1, tenant.config.mechanism.initial_cores);
-    const int cap = tenant.config.mechanism.max_cores > 0
-                        ? tenant.config.mechanism.max_cores
-                        : total;
-    const auto clamp = [floor, cap](int cores) {
-      return std::min(cap, std::max(floor, cores));
-    };
-    if (tenant.hc_target == 0) {
-      // First round with probes attached: adopt the current holding as the
-      // operating point so the controller starts from reality, not from 0.
-      tenant.hc_target = clamp(held);
-    }
-    const double fraction = abort_fractions[static_cast<size_t>(i)];
-    if (fraction < 0.0) continue;  // no traffic in the window: hold
-    if (tenant.hc_settle > 0) {
-      // The last move has not had a full probe window to show up in the
-      // goodput signal yet; measuring now would attribute the old
-      // allocation's goodput to the new one.
-      tenant.hc_settle--;
-      continue;
-    }
-    const TelemetrySnapshot& snap = snapshots[static_cast<size_t>(i)];
-    if (!snap.has(TelemetrySnapshot::kGoodput)) continue;  // dropout: hold
-    const double goodput = snap.goodput;
-    // Evaluate the previous move: if the allocation actually changed and
-    // goodput dropped beyond tolerance, revert to the old operating point
-    // and block that direction for a while — this is what makes the climber
-    // settle at the goodput knee instead of oscillating across it.
-    if (tenant.hc_last_goodput >= 0.0 && held != tenant.hc_last_cores) {
-      const bool regressed =
-          goodput <
-          tenant.hc_last_goodput * (1.0 - config_.contention_goodput_tolerance);
-      if (regressed) {
-        if (held > tenant.hc_last_cores) {
-          tenant.hc_grow_block = config_.contention_backoff_evals;
-        } else {
-          tenant.hc_shrink_block = config_.contention_backoff_evals;
-        }
-        tenant.hc_target = clamp(tenant.hc_last_cores);
-        tenant.hc_last_goodput = goodput;
-        tenant.hc_last_cores = held;
-        tenant.hc_settle = config_.contention_settle_rounds;
-        continue;
-      }
-    }
-    if (tenant.hc_grow_block > 0) tenant.hc_grow_block--;
-    if (tenant.hc_shrink_block > 0) tenant.hc_shrink_block--;
-    int target = held;
-    if (fraction >= config_.contention_high_abort && held > floor &&
-        tenant.hc_shrink_block == 0) {
-      // High abort fraction: most added work is burning in aborts, so probe
-      // one core down — the freed core goes to a tenant that can use it.
-      target = held - 1;
-    } else if (fraction <= config_.contention_low_abort && held < cap &&
-               tenant.hc_grow_block == 0 &&
-               decisions[static_cast<size_t>(i)].desired >
-                   decisions[static_cast<size_t>(i)].current) {
-      // Low contention and the mechanism wants more cores: let it grow.
-      target = held + 1;
-    }
-    tenant.hc_target = clamp(target);
-    tenant.hc_last_goodput = goodput;
-    tenant.hc_last_cores = held;
-    tenant.hc_settle = config_.contention_settle_rounds;
-  }
-}
-
-std::vector<double> CoreArbiter::Entitlements(
-    const std::vector<ElasticMechanism::Decision>& decisions,
-    const std::vector<double>& slo_ratios) const {
-  const int count = num_tenants();
-  const double total = static_cast<double>(domain_.Count());
-  std::vector<double> entitlements(static_cast<size_t>(count), 0.0);
-  switch (config_.policy) {
-    case ArbitrationPolicy::kFairShare: {
-      int active = 0;
-      for (const Tenant& tenant : tenants_) active += tenant.active ? 1 : 0;
-      for (int i = 0; i < count; ++i) {
-        if (!tenants_[static_cast<size_t>(i)].active) continue;
-        entitlements[static_cast<size_t>(i)] = total / std::max(active, 1);
-      }
-      break;
-    }
-    case ArbitrationPolicy::kPriorityWeighted: {
-      double sum = 0.0;
-      for (const Tenant& tenant : tenants_) {
-        if (tenant.active) sum += tenant.config.weight;
-      }
-      for (int i = 0; i < count; ++i) {
-        const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-        if (!tenant.active) continue;
-        entitlements[static_cast<size_t>(i)] =
-            total * tenant.config.weight / std::max(sum, 1e-12);
-      }
-      break;
-    }
-    case ArbitrationPolicy::kDemandProportional: {
-      // Demand in busy-core equivalents; the epsilon keeps an all-idle
-      // machine at equal entitlements instead of 0/0.
-      std::vector<double> demand(static_cast<size_t>(count), 0.0);
-      double sum = 0.0;
-      for (int i = 0; i < count; ++i) {
-        if (!tenants_[static_cast<size_t>(i)].active) continue;
-        const ElasticMechanism::Decision& d = decisions[static_cast<size_t>(i)];
-        demand[static_cast<size_t>(i)] =
-            std::max(d.u, 0.0) / 100.0 * d.current + 1e-6;
-        sum += demand[static_cast<size_t>(i)];
-      }
-      for (int i = 0; i < count; ++i) {
-        if (!tenants_[static_cast<size_t>(i)].active) continue;
-        entitlements[static_cast<size_t>(i)] =
-            total * demand[static_cast<size_t>(i)] / std::max(sum, 1e-12);
-      }
-      break;
-    }
-    case ArbitrationPolicy::kSloAware: {
-      // SLO tenants first: entitlement tracks the tail-latency error.
-      // Past the boost threshold (ratio > 3/4 of target) the tenant is owed
-      // headroom — one core early on, proportional to the error once in
-      // violation; a controller that waits for ratio > 1 reacts only after
-      // transactions have already blown the budget. Comfortably below
-      // target (ratio < 1/2) it sheds one core of slack; in between it
-      // holds. No signal yet = hold. Best-effort tenants split whatever
-      // the SLO tenants leave — they absorb slack when the SLO tenants are
-      // happy and become the preemption victims when one is not.
-      double remaining = total;
-      int best_effort = 0;
-      for (int i = 0; i < count; ++i) {
-        const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-        if (!tenant.active) continue;
-        if (tenant.config.slo_p99_s < 0.0) {
-          best_effort++;
-          continue;
-        }
-        const double held = tenant.mask.Count();
-        const double ratio = slo_ratios[static_cast<size_t>(i)];
-        const double floor =
-            std::max(1, tenant.config.mechanism.initial_cores);
-        const double cap = tenant.config.mechanism.max_cores > 0
-                               ? tenant.config.mechanism.max_cores
-                               : total;
-        double e = held;
-        if (ratio > kSloBoostRatio) {
-          e = std::min(
-              cap,
-              held + std::max(1.0, std::ceil((ratio - 1.0) * held) + 1.0));
-        } else if (ratio >= 0.0 && ratio < kSloShedRatio) {
-          e = std::max(floor, held - 1.0);
-        }
-        entitlements[static_cast<size_t>(i)] = e;
-        remaining -= e;
-      }
-      if (best_effort > 0) {
-        const double share = std::max(0.0, remaining) / best_effort;
-        for (int i = 0; i < count; ++i) {
-          const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-          if (tenant.active && tenant.config.slo_p99_s < 0.0) {
-            entitlements[static_cast<size_t>(i)] = share;
-          }
-        }
-      }
-      break;
-    }
-    case ArbitrationPolicy::kContentionAware: {
-      // Probe tenants are entitled to their controller's operating point —
-      // the goodput-maximizing core count the hill climber has settled on,
-      // which under heavy conflict is far below what a utilization-driven
-      // demand signal would claim. Probe-less tenants split the remainder,
-      // so every core a collapsing tenant walks away from lands on a tenant
-      // that can convert it into goodput.
-      double remaining = total;
-      int probe_less = 0;
-      for (int i = 0; i < count; ++i) {
-        const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-        if (!tenant.active) continue;
-        if (!HasContentionCaps(tenant.config)) {
-          probe_less++;
-          continue;
-        }
-        const double e = tenant.hc_target > 0
-                             ? static_cast<double>(tenant.hc_target)
-                             : static_cast<double>(tenant.mask.Count());
-        entitlements[static_cast<size_t>(i)] = e;
-        remaining -= e;
-      }
-      if (probe_less > 0) {
-        const double share = std::max(0.0, remaining) / probe_less;
-        for (int i = 0; i < count; ++i) {
-          const Tenant& tenant = tenants_[static_cast<size_t>(i)];
-          if (tenant.active && !HasContentionCaps(tenant.config)) {
-            entitlements[static_cast<size_t>(i)] = share;
-          }
-        }
-      }
-      break;
-    }
-  }
-  return entitlements;
+numasim::CoreId CoreArbiter::ReleaseOne(Tenant& tenant, ArbiterRound& round) {
+  const numasim::CoreId core =
+      tenant.mechanism->mode().NextToRelease(tenant.mask);
+  ELASTIC_CHECK(core != numasim::kInvalidCore,
+                "release from a tenant without a releasable core");
+  tenant.mask.Clear(core);
+  round.handoffs++;
+  return core;
 }
 
 void CoreArbiter::Poll(simcore::Tick now) {
   ELASTIC_CHECK(installed_, "Poll before Install");
-  const int count = num_tenants();
+  ArbiterRound round;
+  round.tick = now;
+  round.tenants.resize(tenants_.size());
 
-  std::vector<ElasticMechanism::Decision> decisions;
-  decisions.reserve(static_cast<size_t>(count));
-  for (Tenant& tenant : tenants_) {
+  CollectSignals(now);
+  Entitle();
+  Resolve(round);
+  InstallRound(now, round);
+
+  handoffs_ += round.handoffs;
+  preemptions_ += round.preemptions;
+  if (round.starved > 0) starved_rounds_++;
+  if (config_.log_rounds) log_.push_back(std::move(round));
+  round_counter_++;
+}
+
+void CoreArbiter::CollectSignals(simcore::Tick now) {
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& tenant = tenants_[i];
+    ElasticMechanism::Decision& d = signals_[i].decision;
     if (!tenant.active) {
       // Detached tenants are no longer polled; a hold-at-zero placeholder
-      // keeps the per-index vectors aligned.
-      decisions.push_back(ElasticMechanism::Decision{});
+      // keeps the per-index signals aligned.
+      d = ElasticMechanism::Decision{};
       continue;
     }
-    ElasticMechanism::Decision d = tenant.mechanism->Decide(now);
+    d = tenant.mechanism->Decide(now);
     if (!d.valid) {
       tenant.stale_rounds++;
       stats_.stale_rounds++;
@@ -587,109 +440,140 @@ void CoreArbiter::Poll(simcore::Tick now) {
       }
     } else {
       tenant.stale_rounds = 0;
-      tenant.last_good_tick = now;
     }
-    decisions.push_back(std::move(d));
   }
+  // All telemetry of the round is pulled here, once per tenant, through the
+  // unified snapshot.
+  CollectTelemetry(now);
+  UpdateMemoryResidency();
+}
 
-  ArbiterRound round;
-  round.tick = now;
-  round.tenants.resize(static_cast<size_t>(count));
-
-  // Phase 1: shrinks release one core each into the free pool. A tenant
-  // collapsing towards its floor frees capacity in the very round another
-  // tenant may claim it.
-  for (int i = 0; i < count; ++i) {
-    Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    const ElasticMechanism::Decision& d = decisions[static_cast<size_t>(i)];
-    if (!tenant.active || Frozen(tenant)) continue;
-    if (d.desired >= d.current) continue;
+void CoreArbiter::Entitle() {
+  // The one split. A feedback policy's controlled tenants claim their own
+  // core count; every other active tenant gets what the claims leave in
+  // proportion to its weight.
+  //   - kSloAware: an SLO tenant's claim tracks its tail-latency error. Past
+  //     the boost threshold (ratio > 3/4 of target) it is owed headroom —
+  //     one core early on, proportional to the error once in violation; a
+  //     controller that waits for ratio > 1 reacts only after transactions
+  //     have already blown the budget. Comfortably below target (ratio <
+  //     1/2) it sheds one core of slack; in between, or without a signal,
+  //     it holds. Best-effort tenants absorb the slack when the SLO tenants
+  //     are happy and become the preemption victims when one is not.
+  //   - kContentionAware: a probe tenant claims its controller's operating
+  //     point — the goodput-maximizing core count, which under heavy
+  //     conflict is far below what a utilization-driven demand signal would
+  //     claim — so every core a collapsing tenant walks away from lands on
+  //     a tenant that can convert it into goodput.
+  //   - The remainder weights: 1 (fair_share and the feedback policies'
+  //     uncontrolled tenants), the configured weight (priority_weighted),
+  //     or demand in busy-core equivalents (demand_proportional; the
+  //     epsilon keeps an all-idle machine at equal shares instead of 0/0).
+  // Claims are computed against the holding after the tenant's own shrink
+  // of this round (resolve applies it), the count the claim must explain.
+  const bool slo_aware = config_.policy == ArbitrationPolicy::kSloAware;
+  const bool contention_aware =
+      config_.policy == ArbitrationPolicy::kContentionAware;
+  double remaining = static_cast<double>(domain_.Count());
+  double weight_sum = 0.0;
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& tenant = tenants_[i];
+    RoundSignals& s = signals_[i];
+    const ElasticMechanism::Decision& d = s.decision;
+    s.slo_ratio = -1.0;
+    s.shedding = false;
+    s.releases = false;
+    s.share_weight = 0.0;
+    s.entitlement = 0.0;
+    if (!tenant.active) continue;
+    const bool slo_tenant = slo_aware && tenant.config.slo_p99_s >= 0.0;
     // Under kSloAware an SLO tenant's floor is provisioned standby
     // capacity, not just a preemption bound: lulls in an open-loop arrival
     // stream must not strip the cores the next burst will need before the
     // tail signal can possibly react.
-    if (config_.policy == ArbitrationPolicy::kSloAware &&
-        tenant.config.slo_p99_s >= 0.0 &&
-        tenant.mask.Count() <=
-            std::max(1, tenant.config.mechanism.initial_cores)) {
-      continue;
-    }
-    const numasim::CoreId core = tenant.mechanism->mode().NextToRelease(tenant.mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore, "shrink from a 1-core tenant");
-    tenant.mask.Clear(core);
-    round.handoffs++;
-  }
-
-  // Phase 2: grant grows from the pool, most-entitled-deficit first. All
-  // telemetry of the round is pulled here, once per tenant, through the
-  // unified snapshot; the per-signal views below are read from it.
-  const std::vector<TelemetrySnapshot> snapshots = CollectTelemetry(now);
-  UpdateMemoryResidency(snapshots);
-  const std::vector<double> shed_rates = ShedRates(snapshots);
-  const std::vector<double> slo_ratios = SloRatios(snapshots, shed_rates);
-  const std::vector<double> abort_fractions = ContentionFractions(snapshots);
-  UpdateContentionControllers(decisions, abort_fractions, snapshots);
-  const std::vector<double> entitlements = Entitlements(decisions, slo_ratios);
-
-  // Degraded-telemetry decay: a tenant blind past the TTL stops holding its
-  // last allocation and releases one core per round towards its entitlement
-  // (a stale signal earns no more than the tenant is notionally owed), never
-  // below the initial_cores floor. Held rounds within the TTL change nothing.
-  for (int i = 0; i < count; ++i) {
-    Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    if (!tenant.active || Frozen(tenant)) continue;
-    if (tenant.stale_rounds <= config_.stale_ttl_rounds) continue;
-    const int floor = std::max(1, tenant.config.mechanism.initial_cores);
-    const int target = std::max(
-        floor,
-        static_cast<int>(std::ceil(entitlements[static_cast<size_t>(i)])));
-    if (tenant.mask.Count() <= target) continue;
-    const numasim::CoreId core =
-        tenant.mechanism->mode().NextToRelease(tenant.mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore, "decay from an empty tenant");
-    tenant.mask.Clear(core);
-    round.handoffs++;
-    stats_.decayed_cores++;
-  }
-
-  // Contention decay: a probe tenant above its controller's operating point
-  // walks down one core per round. Utilization-driven self-shrinks cannot do
-  // this — a thrashing tenant's cores look busy (they are, burning aborts),
-  // so the mechanism reads high utilization and never volunteers a shrink.
-  if (config_.policy == ArbitrationPolicy::kContentionAware) {
-    for (int i = 0; i < count; ++i) {
-      Tenant& tenant = tenants_[static_cast<size_t>(i)];
-      if (!tenant.active || Frozen(tenant)) continue;
-      if (!HasContentionCaps(tenant.config) || tenant.hc_target <= 0) {
-        continue;
+    const bool standby_floor =
+        slo_tenant && tenant.mask.Count() <= Floor(tenant);
+    s.releases = !Frozen(tenant) && d.desired < d.current && !standby_floor;
+    const int held = tenant.mask.Count() - (s.releases ? 1 : 0);
+    if (slo_tenant) {
+      const TelemetrySnapshot& snap = s.telemetry;
+      s.shedding = snap.has(TelemetrySnapshot::kShed) && snap.shed_rate > 0.0;
+      s.slo_ratio = SloRatio(tenant, snap, s.shedding, held);
+      const double h = held;
+      s.entitlement = h;
+      if (s.slo_ratio > kSloBoostRatio) {
+        s.entitlement = std::min<double>(
+            Cap(tenant),
+            h + std::max(1.0, std::ceil((s.slo_ratio - 1.0) * h) + 1.0));
+      } else if (s.slo_ratio >= 0.0 && s.slo_ratio < kSloShedRatio) {
+        s.entitlement = std::max<double>(Floor(tenant), h - 1.0);
       }
-      if (tenant.mask.Count() <= tenant.hc_target) continue;
-      const numasim::CoreId core =
-          tenant.mechanism->mode().NextToRelease(tenant.mask);
-      ELASTIC_CHECK(core != numasim::kInvalidCore,
-                    "contention decay from an empty tenant");
-      tenant.mask.Clear(core);
-      round.handoffs++;
+    } else if (contention_aware && HasContentionCaps(tenant.config)) {
+      UpdateContentionController(tenant, d, s.telemetry, held);
+      s.entitlement = tenant.hc_target;
+    } else if (config_.policy == ArbitrationPolicy::kPriorityWeighted) {
+      s.share_weight = tenant.config.weight;
+    } else if (config_.policy == ArbitrationPolicy::kDemandProportional) {
+      s.share_weight = std::max(d.u, 0.0) / 100.0 * d.current + 1e-6;
+    } else {
+      s.share_weight = 1.0;
+    }
+    if (s.share_weight > 0.0) {
+      weight_sum += s.share_weight;
+    } else {
+      remaining -= s.entitlement;
     }
   }
+  const double split = std::max(0.0, remaining);
+  for (RoundSignals& s : signals_) {
+    if (s.share_weight > 0.0) {
+      s.entitlement = split * s.share_weight / std::max(weight_sum, 1e-12);
+    }
+  }
+}
 
+void CoreArbiter::Resolve(ArbiterRound& round) {
+  const int count = num_tenants();
+  // Releases and grow requests, tenant by tenant (each touches only its own
+  // mask). A tenant collapsing towards its floor frees capacity in the very
+  // round another tenant may claim it.
   std::vector<int> growers;
   for (int i = 0; i < count; ++i) {
-    const Tenant& tenant = tenants_[static_cast<size_t>(i)];
+    Tenant& tenant = tenants_[static_cast<size_t>(i)];
+    const RoundSignals& s = signals_[static_cast<size_t>(i)];
     if (!tenant.active || Frozen(tenant)) continue;
+    if (s.releases) ReleaseOne(tenant, round);
+    // Degraded-telemetry decay: a tenant blind past the TTL stops holding
+    // its last allocation and releases one core per round towards its
+    // entitlement (a stale signal earns no more than the tenant is
+    // notionally owed), never below the initial_cores floor. Held rounds
+    // within the TTL change nothing.
+    if (tenant.stale_rounds > config_.stale_ttl_rounds &&
+        tenant.mask.Count() >
+            std::max(Floor(tenant),
+                     static_cast<int>(std::ceil(s.entitlement)))) {
+      ReleaseOne(tenant, round);
+      stats_.decayed_cores++;
+    }
+    // Contention decay: a probe tenant above its controller's operating
+    // point walks down one core per round. Utilization-driven self-shrinks
+    // cannot do this — a thrashing tenant's cores look busy (they are,
+    // burning aborts), so the mechanism reads high utilization and never
+    // volunteers a shrink. (hc_target is only ever set under
+    // kContentionAware.)
+    if (tenant.hc_target > 0 && tenant.mask.Count() > tenant.hc_target) {
+      ReleaseOne(tenant, round);
+    }
     // A contention-probe tenant at (or above) its operating point does not
     // grow, whatever its utilization-driven demand says: the controller has
     // measured that more cores past this point cost goodput.
-    if (config_.policy == ArbitrationPolicy::kContentionAware &&
-        HasContentionCaps(tenant.config) && tenant.hc_target > 0 &&
-        tenant.mask.Count() >= tenant.hc_target) {
+    if (tenant.hc_target > 0 && tenant.mask.Count() >= tenant.hc_target) {
       continue;
     }
-    if (decisions[static_cast<size_t>(i)].desired >
-        decisions[static_cast<size_t>(i)].current) {
-      growers.push_back(i);
-    }
+    if (s.decision.desired > s.decision.current) growers.push_back(i);
   }
+
+  // Grant grows from the pool, most-entitled-deficit first.
   platform::CpuMask pool = FreePool();
   // Island-affinity bonus on the grant ordering: the locality a tenant can
   // realize from the current pool (the largest resident-page share among
@@ -716,10 +600,10 @@ void CoreArbiter::Poll(simcore::Tick now) {
     return config_.numa_affinity_weight * best;
   };
   std::sort(growers.begin(), growers.end(), [&](int a, int b) {
-    const double da = entitlements[static_cast<size_t>(a)] -
+    const double da = signals_[static_cast<size_t>(a)].entitlement -
                       tenants_[static_cast<size_t>(a)].mask.Count() +
                       pool_affinity(tenants_[static_cast<size_t>(a)]);
-    const double db = entitlements[static_cast<size_t>(b)] -
+    const double db = signals_[static_cast<size_t>(b)].entitlement -
                       tenants_[static_cast<size_t>(b)].mask.Count() +
                       pool_affinity(tenants_[static_cast<size_t>(b)]);
     if (da != db) return da > db;
@@ -743,9 +627,9 @@ void CoreArbiter::Poll(simcore::Tick now) {
     round.handoffs++;
   }
 
-  // Phase 3: unmet grows may preempt one core from the tenant furthest
-  // above its entitlement — never from an overloaded tenant and never below
-  // the victim's initial_cores floor.
+  // Unmet grows may preempt one core from the tenant furthest above its
+  // entitlement — never from an overloaded tenant and never below the
+  // victim's initial_cores floor.
   //
   // The grower-independent victim filters (active, not frozen, above the
   // floor) are applied once, not per unmet grower: `candidates` holds every
@@ -754,8 +638,7 @@ void CoreArbiter::Poll(simcore::Tick now) {
   auto preemptible = [&](int v) {
     const Tenant& tenant = tenants_[static_cast<size_t>(v)];
     return tenant.active && !Frozen(tenant) &&
-           tenant.mask.Count() >
-               std::max(1, tenant.config.mechanism.initial_cores);
+           tenant.mask.Count() > Floor(tenant);
   };
   std::vector<int> candidates;
   if (!unmet.empty()) {
@@ -764,42 +647,40 @@ void CoreArbiter::Poll(simcore::Tick now) {
     }
   }
   for (int grower : unmet) {
+    const double grower_ratio = signals_[static_cast<size_t>(grower)].slo_ratio;
     // Under kSloAware an SLO tenant at or past the boost threshold may take
     // a core from a best-effort tenant even when that tenant is overloaded:
     // a scan-heavy best-effort workload is overloaded by construction (it
     // can absorb any number of cores), and honouring its overload would let
     // it starve the latency SLO indefinitely. The floor below stays
-    // absolute.
-    const bool slo_violating =
-        slo_ratios[static_cast<size_t>(grower)] > kSloBoostRatio;
+    // absolute. (SLO ratios are -1 under every other policy.)
+    const bool slo_violating = grower_ratio > kSloBoostRatio;
     int victim = -1;
     double worst_excess = 0.0;
     for (const int v : candidates) {
       if (v == grower) continue;
       const Tenant& candidate = tenants_[static_cast<size_t>(v)];
-      const bool victim_best_effort =
-          config_.policy == ArbitrationPolicy::kSloAware &&
-          candidate.config.slo_p99_s < 0.0;
+      const bool victim_best_effort = candidate.config.slo_p99_s < 0.0;
       // The overload shield is only honoured while the victim's signal is
       // fresh: a stale tenant's "overload" is a replay of its last good
       // window, and holding cores on its strength would let a dead probe
       // pin capacity indefinitely.
       const bool shield =
-          decisions[static_cast<size_t>(v)].state == PerfState::kOverload &&
+          signals_[static_cast<size_t>(v)].decision.state ==
+              PerfState::kOverload &&
           candidate.stale_rounds <= config_.stale_ttl_rounds;
       // A contention-collapsing tenant's "overload" is the thrash itself:
       // its cores are saturated burning aborted work, so the utilization
       // shield would protect exactly the cores the controller wants gone.
       const bool victim_collapsing =
-          config_.policy == ArbitrationPolicy::kContentionAware &&
-          HasContentionCaps(candidate.config) && candidate.hc_target > 0 &&
+          candidate.hc_target > 0 &&
           candidate.mask.Count() > candidate.hc_target;
       if (shield && !(slo_violating && victim_best_effort) &&
           !victim_collapsing) {
         continue;
       }
-      double excess =
-          candidate.mask.Count() - entitlements[static_cast<size_t>(v)];
+      double excess = candidate.mask.Count() -
+                      signals_[static_cast<size_t>(v)].entitlement;
       // Cross-island migration penalty: preempting a core on a node that
       // holds none of the grower's pages must clear numa_affinity_weight
       // extra excess — moving onto a remote island trades arbitration
@@ -835,17 +716,16 @@ void CoreArbiter::Poll(simcore::Tick now) {
     // the victim drops below its cap, reads as violating, and raids
     // right back. Preferring the *least* violating victim spreads the
     // pain instead of compounding the worst.
-    if (victim < 0 && config_.policy == ArbitrationPolicy::kSloAware &&
-        slo_ratios[static_cast<size_t>(grower)] > 1.0) {
-      const double grower_ratio = slo_ratios[static_cast<size_t>(grower)];
+    if (victim < 0 && grower_ratio > 1.0) {
       double best_victim_ratio = 0.0;
       for (const int v : candidates) {
         if (v == grower) continue;
-        const Tenant& candidate = tenants_[static_cast<size_t>(v)];
-        if (candidate.config.slo_p99_s < 0.0) continue;  // best-effort: pass 1
-        if (shed_rates[static_cast<size_t>(v)] > 0.0) continue;
-        const double victim_ratio = slo_ratios[static_cast<size_t>(v)];
-        if (victim_ratio < 0.0) continue;  // no signal: hold untouched
+        const RoundSignals& candidate = signals_[static_cast<size_t>(v)];
+        if (candidate.shedding) continue;
+        // Best-effort tenants (ratio -1) were the ordinary victims above;
+        // an SLO tenant without a signal holds untouched.
+        const double victim_ratio = candidate.slo_ratio;
+        if (victim_ratio < 0.0) continue;
         if (grower_ratio <= victim_ratio * kSloTieBreakMargin) continue;
         if (victim < 0 || victim_ratio < best_victim_ratio) {
           victim = v;
@@ -857,12 +737,9 @@ void CoreArbiter::Poll(simcore::Tick now) {
       round.starved++;
       continue;
     }
-    Tenant& loser = tenants_[static_cast<size_t>(victim)];
-    const numasim::CoreId core = loser.mechanism->mode().NextToRelease(loser.mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore, "preempted a 1-core tenant");
-    loser.mask.Clear(core);
+    const numasim::CoreId core =
+        ReleaseOne(tenants_[static_cast<size_t>(victim)], round);
     tenants_[static_cast<size_t>(grower)].mask.Set(core);
-    round.handoffs++;
     round.preemptions++;
     // A victim at its floor leaves the candidates; a grower now above its
     // floor joins them (and may be preempted by a later unmet grower).
@@ -878,33 +755,29 @@ void CoreArbiter::Poll(simcore::Tick now) {
       }
     }
   }
+}
 
-  // Phase 4: install the rebalanced cpusets and commit the grants into the
-  // tenants' nets so next round's t4..t7 guards see the real counts. A
-  // rejected install freezes the tenant's mask behind backoff/quarantine
+void CoreArbiter::InstallRound(simcore::Tick now, ArbiterRound& round) {
+  // Install the rebalanced cpusets and commit the grants into the tenants'
+  // nets so next round's t4..t7 guards see the real counts. A rejected
+  // install freezes the tenant's mask behind backoff/quarantine
   // (TryInstall) while the remaining tenants keep arbitrating normally.
-  for (int i = 0; i < count; ++i) {
-    Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    TenantRound& tr = round.tenants[static_cast<size_t>(i)];
+  for (size_t i = 0; i < tenants_.size(); ++i) {
+    Tenant& tenant = tenants_[i];
+    TenantRound& tr = round.tenants[i];
     if (!tenant.active) {
       tr.detached = true;
       continue;
     }
-    TryInstall(i, tenant, tr);
-    tenant.mechanism->CommitGrant(tenant.mask, now,
-                                  decisions[static_cast<size_t>(i)]);
-    tr.state = decisions[static_cast<size_t>(i)].state;
-    tr.u = decisions[static_cast<size_t>(i)].u;
-    tr.demanded = decisions[static_cast<size_t>(i)].desired;
+    const ElasticMechanism::Decision& d = signals_[i].decision;
+    TryInstall(static_cast<int>(i), tenant, tr);
+    tenant.mechanism->CommitGrant(tenant.mask, now, d);
+    tr.state = d.state;
+    tr.u = d.u;
+    tr.demanded = d.desired;
     tr.granted = tenant.mask.Count();
     tr.stale = tenant.stale_rounds > 0;
   }
-
-  handoffs_ += round.handoffs;
-  preemptions_ += round.preemptions;
-  if (round.starved > 0) starved_rounds_++;
-  if (config_.log_rounds) log_.push_back(std::move(round));
-  round_counter_++;
 }
 
 void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
@@ -944,12 +817,12 @@ void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
     return;
   }
   // Exponential backoff with seeded jitter; capped so a flapping cgroup
-  // never pushes the retry horizon past install_max_backoff_rounds + jitter.
-  const int64_t base = config_.install_retry_base_rounds;
-  int64_t backoff = base << std::min(tenant.install_failures - 1, 30);
-  backoff = std::min<int64_t>(backoff, config_.install_max_backoff_rounds);
-  backoff += static_cast<int64_t>(
-      jitter_rng_.NextBounded(static_cast<uint64_t>(base) + 1));
+  // never pushes the retry horizon past kInstallMaxBackoffRounds + jitter.
+  int64_t backoff =
+      kInstallRetryBaseRounds << std::min(tenant.install_failures - 1, 30);
+  backoff = std::min(backoff, kInstallMaxBackoffRounds);
+  backoff += static_cast<int64_t>(jitter_rng_.NextBounded(
+      static_cast<uint64_t>(kInstallRetryBaseRounds) + 1));
   tenant.next_retry_round = round_counter_ + backoff;
 }
 

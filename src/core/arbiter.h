@@ -1,6 +1,7 @@
 #ifndef ELASTICORE_CORE_ARBITER_H_
 #define ELASTICORE_CORE_ARBITER_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -61,6 +62,10 @@ enum class ArbitrationPolicy {
 };
 
 const char* ArbitrationPolicyName(ArbitrationPolicy policy);
+/// Policy by full name or short alias ("fair", "priority", "demand", "slo",
+/// "contention"); false, leaving `policy` untouched, for any other name.
+bool ParseArbitrationPolicy(const std::string& name, ArbitrationPolicy* policy);
+/// As ParseArbitrationPolicy, but an unknown name is a fatal error.
 ArbitrationPolicy ArbitrationPolicyFromName(const std::string& name);
 
 /// One tenant registered with the arbiter.
@@ -132,25 +137,18 @@ struct ArbiterConfig {
   // consecutive failures the cpuset is quarantined — the arbiter stops
   // touching it except for one probe write every quarantine_probe_rounds,
   // and keeps arbitrating the remaining tenants. --
-  int install_retry_base_rounds = 1;
-  int install_max_backoff_rounds = 8;
   int quarantine_after_failures = 4;
   int quarantine_probe_rounds = 16;
   /// Seed of the backoff-jitter stream. Drawn only on failures, so a
   /// fault-free run never consumes it (determinism of the healthy path).
   uint64_t fault_seed = 0x5EEDULL;
 
-  // -- kContentionAware hill-climbing controller (see docs/POLICIES.md).
-  // The controller evaluates once every contention_settle_rounds + 1
-  // rounds, so every evaluation sees a probe window measured mostly at the
-  // current allocation. --
+  // -- kContentionAware hill-climbing controller (see docs/POLICIES.md; the
+  // abort-fraction thresholds and the goodput noise band are constants in
+  // arbiter.cc). The controller evaluates once every
+  // contention_settle_rounds + 1 rounds, so every evaluation sees a probe
+  // window measured mostly at the current allocation. --
 
-  /// Abort fraction at or above which a shrink probe is allowed: the
-  /// marginal core is presumed to be burning in conflict churn.
-  double contention_high_abort = 0.5;
-  /// Abort fraction at or below which the mechanism's grow demand passes
-  /// through: conflicts are rare, parallelism still buys commits.
-  double contention_low_abort = 0.2;
   /// Rounds the controller holds after each target move before judging it
   /// (the hysteresis that keeps a noisy goodput reading from thrashing the
   /// allocation).
@@ -158,9 +156,6 @@ struct ArbiterConfig {
   /// Evaluations a direction stays blocked after a move in it was reverted
   /// for costing goodput.
   int contention_backoff_evals = 8;
-  /// Relative goodput drop below which a move is judged harmless (noise
-  /// band of the accept/revert decision).
-  double contention_goodput_tolerance = 0.05;
 
   // -- Island-affinity term (NUMA memory as an arbitrated resource). --
 
@@ -228,21 +223,27 @@ struct ArbiterRound {
 /// PrT nets against a shared machine, and the arbiter resolves conflicting
 /// grow/shrink demands into disjoint per-tenant cpusets.
 ///
-/// Each monitoring round:
-///   1. every tenant's net classifies its own window (Decide) and demands
-///      nalloc-1, nalloc or nalloc+1 cores;
-///   2. shrinks release cores into the free pool (the shrinking tenant's
-///      allocation mode picks which core);
-///   3. grows are granted from the pool in order of entitlement deficit,
-///      NUMA-aware: a NodePriorityQueue keyed by the tenant's per-node core
-///      counts (ties towards free capacity) keeps each tenant's cpuset
-///      clustered on as few sockets as possible;
-///   4. unmet grows may preempt one core from the tenant furthest above its
-///      entitlement, provided that tenant is not itself overloaded and
-///      stays at or above its initial_cores floor;
-///   5. the resulting masks are installed as platform cpusets (simulated
-///      scheduler groups or real cgroups) and committed back into each
-///      tenant's net.
+/// Each monitoring round runs four phases:
+///   1. collect — every tenant's net classifies its own window (Decide) and
+///      demands nalloc-1, nalloc or nalloc+1 cores; stale windows are
+///      counted, and the feedback policies pull each tenant's telemetry;
+///   2. entitle — one split: a feedback policy's controlled tenants claim
+///      their own core count (kSloAware: the SLO tenants' boost/shed/hold
+///      figure; kContentionAware: the hill climber's target), and every
+///      other active tenant gets the remainder in proportion to its weight
+///      (1, the configured weight, or measured demand);
+///   3. resolve — shrinks and decays release cores into the free pool (the
+///      releasing tenant's allocation mode picks which core); grows are
+///      granted from the pool in order of entitlement deficit, NUMA-aware:
+///      a NodePriorityQueue keyed by the tenant's per-node core counts
+///      (ties towards free capacity) keeps each tenant's cpuset clustered
+///      on as few sockets as possible; unmet grows may preempt one core
+///      from the tenant furthest above its entitlement, provided that
+///      tenant is not itself overloaded and stays at or above its
+///      initial_cores floor;
+///   4. install — the resulting masks are installed as platform cpusets
+///      (simulated scheduler groups or real cgroups) and committed back
+///      into each tenant's net.
 ///
 /// Tenant masks are always pairwise disjoint and never empty.
 class CoreArbiter {
@@ -335,8 +336,6 @@ class CoreArbiter {
     bool active = true;
     /// Consecutive rounds of implausible telemetry; 0 = fresh signal.
     int stale_rounds = 0;
-    /// Tick of the last plausible window.
-    simcore::Tick last_good_tick = 0;
     /// Consecutive failed SetCpusetMask attempts; > 0 freezes the mask.
     int install_failures = 0;
     /// First round index a backed-off retry may run.
@@ -375,18 +374,48 @@ class CoreArbiter {
   bool Frozen(const Tenant& tenant) const {
     return tenant.quarantined || tenant.install_failures > 0;
   }
+  /// Cores no arbitration action may take the tenant below.
+  static int Floor(const Tenant& tenant) {
+    return std::max(1, tenant.config.mechanism.initial_cores);
+  }
+  /// Cores the tenant may hold at most (max_cores, else the whole domain).
+  int Cap(const Tenant& tenant) const {
+    return tenant.config.mechanism.max_cores > 0
+               ? tenant.config.mechanism.max_cores
+               : domain_.Count();
+  }
+  /// Whether the tenant declares the kContentionAware signal pair.
+  static bool HasContentionCaps(const ArbiterTenantConfig& config) {
+    return (config.telemetry_caps & TelemetrySnapshot::kAbort) != 0 &&
+           (config.telemetry_caps & TelemetrySnapshot::kGoodput) != 0;
+  }
 
-  /// Phase 4 helper: one SetCpusetMask attempt with failure bookkeeping
-  /// (backoff scheduling, quarantine entry/exit).
-  void TryInstall(int index, Tenant& tenant, TenantRound& tr);
+  /// One tenant's signals for the round in flight, written by the collect
+  /// and entitle phases and read by resolve and install.
+  struct RoundSignals {
+    ElasticMechanism::Decision decision;
+    TelemetrySnapshot telemetry;
+    /// kSloAware: recent-p99 / target ratio, reshaped by shedding (see the
+    /// telemetry field comment on ArbiterTenantConfig); < 0 for best-effort
+    /// tenants, SLO tenants without a signal, and under every other policy.
+    double slo_ratio = -1.0;
+    /// kSloAware: the SLO tenant is actively shedding admissions.
+    bool shedding = false;
+    /// The tenant's own net shrinks it by one core this round (not frozen,
+    /// and no kSloAware standby floor holds the core).
+    bool releases = false;
+    /// Weight in the remainder split; 0 for tenants that claim their own
+    /// figure (and for detached tenants).
+    double share_weight = 0.0;
+    /// Cores the tenant is notionally owed this round.
+    double entitlement = 0.0;
+  };
 
-  /// Entitlements of every tenant under the configured policy; `decisions`
-  /// supplies the demand signal for kDemandProportional, `slo_ratios` the
-  /// per-tenant p99/target ratios for kSloAware (< 0 = best-effort or no
-  /// signal yet; all -1 outside kSloAware).
-  std::vector<double> Entitlements(
-      const std::vector<ElasticMechanism::Decision>& decisions,
-      const std::vector<double>& slo_ratios) const;
+  // -- The four phases of Poll(). --
+  void CollectSignals(simcore::Tick now);
+  void Entitle();
+  void Resolve(ArbiterRound& round);
+  void InstallRound(simcore::Tick now, ArbiterRound& round);
 
   /// Evaluates every active tenant's TelemetrySource once for this round
   /// (only under the feedback policies — kSloAware / kContentionAware — or
@@ -395,51 +424,40 @@ class CoreArbiter {
   /// valid_mask is intersected with the tenant's declared caps and
   /// sanitised (NaN/inf readings drop their valid bit — the centralised
   /// plausibility check).
-  std::vector<TelemetrySnapshot> CollectTelemetry(simcore::Tick now) const;
+  void CollectTelemetry(simcore::Tick now);
 
   /// Caches each tenant's per-node resident-page share from this round's
   /// kMemory snapshots (Tenant::mem_fraction). No-op at affinity weight 0.
-  void UpdateMemoryResidency(const std::vector<TelemetrySnapshot>& snapshots);
+  void UpdateMemoryResidency();
 
   /// Affinity bonus of granting `core` to the tenant: the share of the
   /// tenant's resident pages homed on the core's node, in [0, 1]. 0 when
   /// the term is off or the tenant has no memory signal.
   double MemAffinity(const Tenant& tenant, numasim::CoreId core) const;
 
-  /// Recent shed rate per tenant under kSloAware; 0 for tenants without a
-  /// shed signal, and everywhere outside kSloAware.
-  std::vector<double> ShedRates(
-      const std::vector<TelemetrySnapshot>& snapshots) const;
+  /// kSloAware ratio of an SLO tenant holding `held` cores after its own
+  /// shrink (see RoundSignals::slo_ratio).
+  double SloRatio(const Tenant& tenant, const TelemetrySnapshot& snap,
+                  bool shedding, int held) const;
 
-  /// Recent-p99 / target ratio per tenant under kSloAware; < 0 for
-  /// best-effort tenants and SLO tenants without a signal. `shed_rates`
-  /// reshapes the ratio: a shedding tenant below its max_cores reads as
-  /// violating, a shedding tenant at max_cores as holding (see the
-  /// telemetry field comment on ArbiterTenantConfig).
-  std::vector<double> SloRatios(
-      const std::vector<TelemetrySnapshot>& snapshots,
-      const std::vector<double>& shed_rates) const;
+  /// One round of a probe tenant's hill-climbing controller
+  /// (kContentionAware only): updates Tenant::hc_* so the entitle phase can
+  /// claim the target. See the policy comment on
+  /// ArbitrationPolicy::kContentionAware for the climb/hold/revert rules.
+  void UpdateContentionController(Tenant& tenant,
+                                  const ElasticMechanism::Decision& decision,
+                                  const TelemetrySnapshot& snap, int held);
 
-  /// Whether the tenant declares the kContentionAware signal pair.
-  static bool HasContentionCaps(const ArbiterTenantConfig& config) {
-    return (config.telemetry_caps & TelemetrySnapshot::kAbort) != 0 &&
-           (config.telemetry_caps & TelemetrySnapshot::kGoodput) != 0;
-  }
+  /// Releases the core the tenant's allocation mode picks into the free
+  /// pool (one handoff) and returns it.
+  numasim::CoreId ReleaseOne(Tenant& tenant, ArbiterRound& round);
 
-  /// Windowed abort fraction per tenant under kContentionAware; < 0 for
-  /// tenants without the signal pair or without traffic, and everywhere
-  /// outside kContentionAware.
-  std::vector<double> ContentionFractions(
-      const std::vector<TelemetrySnapshot>& snapshots) const;
+  /// Install helper: one SetCpusetMask attempt with failure bookkeeping
+  /// (backoff scheduling, quarantine entry/exit).
+  void TryInstall(int index, Tenant& tenant, TenantRound& tr);
 
-  /// One round of every tenant's hill-climbing controller (kContentionAware
-  /// only): updates Tenant::hc_* so Entitlements() can read the targets.
-  /// See the policy comment on ArbitrationPolicy::kContentionAware for the
-  /// climb/hold/revert rules.
-  void UpdateContentionControllers(
-      const std::vector<ElasticMechanism::Decision>& decisions,
-      const std::vector<double>& abort_fractions,
-      const std::vector<TelemetrySnapshot>& snapshots);
+  /// Union of every tenant's mask.
+  platform::CpuMask OwnedCores() const;
 
   /// Trace event kind namespaced by instance_label ("shard3:kind"); the
   /// bare kind in flat mode.
@@ -456,6 +474,8 @@ class CoreArbiter {
   /// Cores this arbiter may hand out (the whole machine in flat mode).
   platform::CpuMask domain_;
   std::vector<Tenant> tenants_;
+  /// Per-round signals, indexed like tenants_ and reused across rounds.
+  std::vector<RoundSignals> signals_;
   bool installed_ = false;
 
   int64_t handoffs_ = 0;

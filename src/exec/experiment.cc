@@ -89,9 +89,6 @@ MultiTenantExperiment::MultiTenantExperiment(const db::Database* database,
   arbiter_config.policy = options.policy;
   arbiter_config.monitor_period_ticks = options.monitor_period_ticks;
   arbiter_config.log_rounds = options.log_rounds;
-  arbiter_config.stale_ttl_rounds = options.stale_ttl_rounds;
-  arbiter_config.quarantine_after_failures = options.quarantine_after_failures;
-  arbiter_config.quarantine_probe_rounds = options.quarantine_probe_rounds;
   arbiter_ =
       std::make_unique<core::CoreArbiter>(arbiter_platform, arbiter_config);
 }

@@ -116,12 +116,6 @@ struct MultiTenantOptions {
   /// replaying this schedule. Not owned; must outlive the experiment. Null =
   /// no injection, the arbiter uses the SimPlatform directly.
   const platform::FaultSchedule* fault_schedule = nullptr;
-
-  /// Degraded-telemetry / install-failure knobs forwarded to ArbiterConfig
-  /// (see core/arbiter.h for semantics).
-  int stale_ttl_rounds = 3;
-  int quarantine_after_failures = 4;
-  int quarantine_probe_rounds = 16;
 };
 
 /// N tenant DBMS instances contending for one simulated machine under a

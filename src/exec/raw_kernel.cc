@@ -54,7 +54,7 @@ void RawKernelEngine::Submit(const std::vector<std::string>& columns, int stream
     job.cpu_cycles_per_page = static_cast<int64_t>(
         compute / static_cast<double>(std::max<int64_t>(task_pages, 1)));
 
-    std::optional<ossim::CpuMask> pin;
+    std::optional<platform::CpuMask> pin;
     switch (affinity) {
       case RawAffinity::kOsDefault:
         break;
@@ -65,7 +65,7 @@ void RawKernelEngine::Submit(const std::vector<std::string>& columns, int stream
         const int d = topo.config().cores_per_node;
         const int i = static_cast<int>((spawn_rr_ + t) % nodes);
         const int j = static_cast<int>(((spawn_rr_ + t) / nodes) % d);
-        ossim::CpuMask mask;
+        platform::CpuMask mask;
         mask.Set(topo.CoreAt(i, j));
         pin = mask;
         break;
@@ -73,7 +73,7 @@ void RawKernelEngine::Submit(const std::vector<std::string>& columns, int stream
       case RawAffinity::kDense:
         // Every thread confined to node 0 (the paper's "all pthreads sent
         // to the same node").
-        pin = ossim::CpuMask::NodeCores(topo, 0);
+        pin = platform::CpuMask::NodeCores(topo, 0);
         break;
     }
 

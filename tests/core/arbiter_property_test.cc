@@ -12,14 +12,18 @@
 //   4. a quarantined tenant's mask is frozen for as long as it stays
 //      quarantined;
 //   5. the whole trajectory is a pure function of the seed (replaying the
-//      sequence reproduces every per-round allocation bit for bit).
+//      sequence reproduces every per-round allocation bit for bit);
+//   6. the seed-0xC0FFEE trajectory of every policy, with the island-affinity
+//      term off and at weight 4, hashes to a committed FNV-1a digest, so a
+//      refactor that changes any decision fails here.
 //
 // The random walk is intentionally adversarial: probe values include
 // no-signal readings and saturated abort fractions, cpuset writes fail in
 // seeded windows (driving tenants through backoff into quarantine and out
 // again), and samplers drop out or return garbage (driving the stale-decay
 // path). ARBITER_PROPERTY_ROUNDS overrides the per-policy round count (the
-// TSan CI step runs a reduced count).
+// TSan CI step runs a reduced count); the golden digests always run
+// kGoldenRounds.
 
 #include "core/arbiter.h"
 
@@ -41,7 +45,11 @@ namespace elastic::core {
 namespace {
 
 constexpr int kNumTenants = 4;
+constexpr int kNumNodes = 4;
 constexpr int kMonitorTicks = 20;
+constexpr int kGoldenRounds = 250;
+/// Island-affinity weight of the variant that drives the affinity term.
+constexpr double kAffinityWeight = 4.0;
 
 int RoundsPerPolicy() {
   const char* env = std::getenv("ARBITER_PROPERTY_ROUNDS");
@@ -56,6 +64,8 @@ struct ProbeState {
   std::array<double, kNumTenants> abort_fraction;
   std::array<double, kNumTenants> goodput;
   std::array<double, kNumTenants> tail_latency;
+  /// kMemory residency, reported only when the affinity term is on.
+  std::array<std::array<int64_t, kNumNodes>, kNumTenants> resident_pages;
 };
 
 struct TenantShape {
@@ -78,7 +88,7 @@ const std::array<TenantShape, kNumTenants>& Shapes() {
   return kShapes;
 }
 
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {
@@ -119,11 +129,15 @@ struct RoundSnapshot {
 };
 
 /// Runs `rounds` random rounds of one policy and returns the per-round
-/// allocation trajectory; checks every invariant after every round.
+/// allocation trajectory; checks every invariant after every round. A
+/// positive `affinity_weight` arms the island-affinity term: every tenant
+/// then reports random kMemory residency drawn from its own Rng stream, so
+/// the weight-0 sequences are untouched.
 std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
-                                       uint64_t seed, int rounds) {
+                                       uint64_t seed, int rounds,
+                                       double affinity_weight = 0.0) {
   ossim::MachineOptions machine_options;
-  machine_options.config.num_nodes = 4;
+  machine_options.config.num_nodes = kNumNodes;
   machine_options.config.cores_per_node = 4;
   auto machine = std::make_unique<ossim::Machine>(machine_options);
   platform::SimPlatform sim(machine.get());
@@ -136,6 +150,7 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
   config.monitor_period_ticks = kMonitorTicks;
   config.log_rounds = true;
   config.fault_seed = seed;
+  config.numa_affinity_weight = affinity_weight;
   CoreArbiter arbiter(&platform, config);
 
   auto probes = std::make_unique<ProbeState>();
@@ -155,6 +170,9 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
       tenant.telemetry_caps |=
           TelemetrySnapshot::kAbort | TelemetrySnapshot::kGoodput;
     }
+    if (affinity_weight > 0.0) {
+      tenant.telemetry_caps |= TelemetrySnapshot::kMemory;
+    }
     if (tenant.telemetry_caps != 0) {
       const uint32_t caps = tenant.telemetry_caps;
       tenant.telemetry = [probe_state, t, caps](simcore::Tick) {
@@ -170,6 +188,13 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
           snap.goodput = probe_state->goodput[static_cast<size_t>(t)];
           snap.valid_mask |= TelemetrySnapshot::kGoodput;
         }
+        if ((caps & TelemetrySnapshot::kMemory) != 0) {
+          const auto& pages =
+              probe_state->resident_pages[static_cast<size_t>(t)];
+          snap.resident_pages_per_node.assign(pages.begin(), pages.end());
+          snap.remote_access_fraction = 0.0;
+          snap.valid_mask |= TelemetrySnapshot::kMemory;
+        }
         return snap;
       };
     }
@@ -178,6 +203,7 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
   arbiter.Install();
 
   simcore::Rng rng(seed);
+  simcore::Rng memory_rng(seed ^ 0x6D656D6F7279ULL);
   std::vector<RoundSnapshot> history;
   history.reserve(static_cast<size_t>(rounds));
   for (int round = 0; round < rounds; ++round) {
@@ -206,6 +232,21 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
       probe_state->tail_latency[static_cast<size_t>(t)] =
           rng.NextBernoulli(0.1) ? -1.0 : 0.15 * rng.NextDouble();
     }
+    // Random residency: usually concentrated on one island, sometimes
+    // nothing resident yet (no preference).
+    if (affinity_weight > 0.0) {
+      for (int t = 0; t < kNumTenants; ++t) {
+        auto& pages = probe_state->resident_pages[static_cast<size_t>(t)];
+        const bool empty = memory_rng.NextBernoulli(0.1);
+        const uint64_t home = memory_rng.NextBounded(kNumNodes);
+        for (int node = 0; node < kNumNodes; ++node) {
+          pages[static_cast<size_t>(node)] =
+              empty ? 0
+                    : static_cast<int64_t>(memory_rng.NextBounded(
+                          static_cast<uint64_t>(node) == home ? 4096 : 512));
+        }
+      }
+    }
     machine->clock().Advance(kMonitorTicks);
     arbiter.Poll(machine->clock().now());
 
@@ -215,7 +256,7 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
     const ArbiterRound& last = arbiter.log().back();
     uint64_t seen = 0;
     for (int t = 0; t < kNumTenants; ++t) {
-      const ossim::CpuMask& mask = arbiter.tenant_mask(t);
+      const platform::CpuMask& mask = arbiter.tenant_mask(t);
       const TenantShape& shape = Shapes()[static_cast<size_t>(t)];
       const int after = mask.Count();
       const int floor = std::max(1, shape.initial_cores);
@@ -267,6 +308,43 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
   return history;
 }
 
+/// FNV-1a over the per-round masks, tenant by tenant, little-endian bytes.
+uint64_t Digest(const std::vector<RoundSnapshot>& history) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const RoundSnapshot& round : history) {
+    for (const uint64_t bits : round.mask_bits) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xFF;
+        hash *= 0x100000001B3ULL;
+      }
+    }
+  }
+  return hash;
+}
+
+struct GoldenDigests {
+  ArbitrationPolicy policy;
+  /// Seed 0xC0FFEE, kGoldenRounds rounds, affinity term off.
+  uint64_t oblivious;
+  /// The same sequence at numa_affinity_weight = kAffinityWeight.
+  uint64_t affinity;
+};
+
+/// Captured from the arbiter before its entitlement policies were folded
+/// into one split; every later arbiter must reproduce them exactly.
+constexpr std::array<GoldenDigests, 5> kGolden = {{
+    {ArbitrationPolicy::kFairShare, 0x0126BF95AAD5B11CULL,
+     0x8905C76E719B3A36ULL},
+    {ArbitrationPolicy::kPriorityWeighted, 0xC52CEF6512A89DDEULL,
+     0x83342BA178893BDAULL},
+    {ArbitrationPolicy::kDemandProportional, 0x60DE125D42CE5B75ULL,
+     0xD00AB1D2B01DBBEAULL},
+    {ArbitrationPolicy::kSloAware, 0x52C0B0168E00F1A6ULL,
+     0xE1002C4FDAD5B06FULL},
+    {ArbitrationPolicy::kContentionAware, 0x65B31944042C00F8ULL,
+     0x21D5793C28FD4D06ULL},
+}};
+
 class ArbiterPropertyTest
     : public ::testing::TestWithParam<ArbitrationPolicy> {};
 
@@ -276,6 +354,24 @@ TEST_P(ArbiterPropertyTest, InvariantsHoldUnderRandomWalk) {
   // (quarantine entry while shrinking, preemption of a stale tenant, ...).
   RunSequence(GetParam(), /*seed=*/0xA5F00D, rounds);
   RunSequence(GetParam(), /*seed=*/0xBADCAB, rounds);
+  // The island-affinity term steers handout and preemption; the same
+  // invariants must hold with it armed.
+  RunSequence(GetParam(), /*seed=*/0xA5F00D, rounds, kAffinityWeight);
+}
+
+TEST_P(ArbiterPropertyTest, TrajectoryMatchesGoldenDigest) {
+  const ArbitrationPolicy policy = GetParam();
+  const auto golden = std::find_if(
+      kGolden.begin(), kGolden.end(),
+      [policy](const GoldenDigests& g) { return g.policy == policy; });
+  ASSERT_NE(golden, kGolden.end());
+  EXPECT_EQ(Digest(RunSequence(policy, /*seed=*/0xC0FFEE, kGoldenRounds)),
+            golden->oblivious)
+      << "affinity weight 0";
+  EXPECT_EQ(Digest(RunSequence(policy, /*seed=*/0xC0FFEE, kGoldenRounds,
+                               kAffinityWeight)),
+            golden->affinity)
+      << "affinity weight " << kAffinityWeight;
 }
 
 TEST_P(ArbiterPropertyTest, TrajectoryIsDeterministicPerSeed) {

@@ -29,7 +29,7 @@ ArbiterTenantConfig Tenant(const std::string& name, int initial_cores,
 
 /// Makes the cores of `mask` look `percent` busy over `ticks` ticks by
 /// writing counters directly; the caller advances the clock once per batch.
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {
@@ -41,7 +41,7 @@ void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
 void ExpectDisjointCover(const CoreArbiter& arbiter, int total_cores) {
   uint64_t seen = 0;
   for (int t = 0; t < arbiter.num_tenants(); ++t) {
-    const ossim::CpuMask& mask = arbiter.tenant_mask(t);
+    const platform::CpuMask& mask = arbiter.tenant_mask(t);
     EXPECT_GE(mask.Count(), 1) << "tenant " << t << " lost its last core";
     EXPECT_EQ(seen & mask.bits(), 0u) << "tenant masks overlap";
     seen |= mask.bits();
@@ -59,9 +59,9 @@ TEST(ArbiterTest, InstallAssignsDisjointSpreadMasks) {
   arbiter.Install();
   // Tenant a clusters on node 0; the fresh tenant b prefers the emptier
   // node 1.
-  EXPECT_EQ(arbiter.tenant_mask(0), ossim::CpuMask::Of({0, 1}));
-  EXPECT_EQ(arbiter.tenant_mask(1), ossim::CpuMask::Of({2}));
-  EXPECT_EQ(arbiter.FreePool(), ossim::CpuMask::Of({3}));
+  EXPECT_EQ(arbiter.tenant_mask(0), platform::CpuMask::Of({0, 1}));
+  EXPECT_EQ(arbiter.tenant_mask(1), platform::CpuMask::Of({2}));
+  EXPECT_EQ(arbiter.FreePool(), platform::CpuMask::Of({3}));
   ExpectDisjointCover(arbiter, 4);
   // Scheduler cpusets mirror the masks.
   EXPECT_EQ(machine->scheduler().cpuset_mask(arbiter.tenant_cpuset(0)),
@@ -986,7 +986,7 @@ std::unique_ptr<ossim::Machine> TwoSocketMachine() {
 
 /// One overload round for a single-tenant arbiter on a two-socket machine;
 /// returns the tenant's mask after the grant.
-ossim::CpuMask GrowOnce(double affinity_weight,
+platform::CpuMask GrowOnce(double affinity_weight,
                         const ArbiterTenantConfig& tenant) {
   auto machine = TwoSocketMachine();
   platform::SimPlatform platform(machine.get());
@@ -995,7 +995,7 @@ ossim::CpuMask GrowOnce(double affinity_weight,
   CoreArbiter arbiter(&platform, config);
   arbiter.AddTenant(tenant);
   arbiter.Install();
-  EXPECT_EQ(arbiter.tenant_mask(0), ossim::CpuMask::Of({0}));
+  EXPECT_EQ(arbiter.tenant_mask(0), platform::CpuMask::Of({0}));
   FakeLoad(machine.get(), arbiter.tenant_mask(0), 99.0, 20);
   machine->clock().Advance(20);
   arbiter.Poll(machine->clock().now());
@@ -1005,19 +1005,19 @@ ossim::CpuMask GrowOnce(double affinity_weight,
 TEST(ArbiterTest, AffinityWeightZeroReproducesObliviousHandout) {
   // At weight 0 the kMemory signal must be inert: the grower clusters next
   // to its own core on node 0, exactly like a tenant with no telemetry.
-  const ossim::CpuMask with_signal = GrowOnce(0.0, MemTenant("m", 1, 1));
-  const ossim::CpuMask without = GrowOnce(0.0, Tenant("m", 1));
+  const platform::CpuMask with_signal = GrowOnce(0.0, MemTenant("m", 1, 1));
+  const platform::CpuMask without = GrowOnce(0.0, Tenant("m", 1));
   EXPECT_EQ(with_signal, without);
-  EXPECT_EQ(with_signal, ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(with_signal, platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityWeightSteersGrowthToPageNode) {
   // With the term on, the node holding the tenant's pages outscores the
   // own-core clustering bonus and growth lands on node 1.
-  const ossim::CpuMask mask = GrowOnce(4.0, MemTenant("m", 1, 1));
-  EXPECT_EQ(mask, ossim::CpuMask::Of({0, 4}));
+  const platform::CpuMask mask = GrowOnce(4.0, MemTenant("m", 1, 1));
+  EXPECT_EQ(mask, platform::CpuMask::Of({0, 4}));
   // Pages on node 0 reinforce the cluster instead: no behaviour change.
-  EXPECT_EQ(GrowOnce(4.0, MemTenant("m", 1, 0)), ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(GrowOnce(4.0, MemTenant("m", 1, 0)), platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityIgnoresImplausibleResidencyVector) {
@@ -1033,7 +1033,7 @@ TEST(ArbiterTest, AffinityIgnoresImplausibleResidencyVector) {
     snap.valid_mask = TelemetrySnapshot::kMemory;
     return snap;
   };
-  EXPECT_EQ(GrowOnce(8.0, config), ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(GrowOnce(8.0, config), platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityMultiRoundTraceMatchesAtWeightZero) {

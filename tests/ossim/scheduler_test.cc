@@ -7,6 +7,8 @@
 namespace elastic::ossim {
 namespace {
 
+using platform::CpuMask;
+
 /// A machine with tracing enabled and a small job helper.
 class SchedulerTest : public ::testing::Test {
  protected:

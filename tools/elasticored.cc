@@ -150,7 +150,12 @@ bool ParseTenant(const std::string& spec, TenantFlag* out) {
     else return false;
     pos = comma + 1;
   }
-  return out->initial >= 1 && out->weight > 0.0;
+  // Everything the arbiter would otherwise reject with an abort: max <= 0
+  // means uncapped, and the mode must be one core::MakeMode knows.
+  const bool known_mode = out->mode == "dense" || out->mode == "sparse" ||
+                          out->mode == "adaptive";
+  return out->initial >= 1 && out->weight > 0.0 && known_mode &&
+         (out->max <= 0 || out->max >= out->initial);
 }
 
 }  // namespace
@@ -207,6 +212,11 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
+  core::ArbiterConfig arbiter_config;
+  if (!core::ParseArbitrationPolicy(policy, &arbiter_config.policy)) {
+    std::fprintf(stderr, "elasticored: bad --policy %s\n", policy.c_str());
+    return 2;
+  }
   if (period_ms < 1) period_ms = 1;
   // A dry run has no pacing sleep; "forever" would busy-loop. Default to a
   // short audit run instead.
@@ -221,6 +231,15 @@ int main(int argc, char** argv) {
               topo.config().cores_per_node,
               platform_options.dry_run ? " [dry run]" : "",
               schedule.rules.empty() ? "" : " [fault injection]");
+  int initial_total = 0;
+  for (const TenantFlag& tenant : tenants) initial_total += tenant.initial;
+  if (initial_total > topo.total_cores()) {
+    std::fprintf(stderr,
+                 "elasticored: bad --tenant set: %d initial cores on a "
+                 "%d-core machine\n",
+                 initial_total, topo.total_cores());
+    return 2;
+  }
 
   // With --inject the arbiter (and its samplers) see the machine through
   // the fault decorator; AttachPid and the op log stay on the raw backend.
@@ -232,14 +251,16 @@ int main(int argc, char** argv) {
     arbiter_platform = faulty.get();
   }
 
-  core::ArbiterConfig arbiter_config;
-  arbiter_config.policy = core::ArbitrationPolicyFromName(policy);
   arbiter_config.monitor_period_ticks = 1;
+  // The daemon reads neither the round log nor the nets' transition logs;
+  // keeping them would grow memory with every round of a long-lived run.
+  arbiter_config.log_rounds = false;
   core::CoreArbiter arbiter(arbiter_platform, arbiter_config);
   for (const TenantFlag& tenant : tenants) {
     core::MechanismConfig mechanism;
     mechanism.initial_cores = tenant.initial;
     mechanism.max_cores = tenant.max;
+    mechanism.log_transitions = false;
     arbiter.AddTenant(exec::TenantBuilder(tenant.name)
                           .mechanism(mechanism)
                           .mode(tenant.mode)
